@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint vet test race bench perf check chaos sweep figures report clean
+.PHONY: all build lint vet test race bench bench-smoke perf check chaos sweep figures report clean
 
 all: check
 
@@ -28,6 +28,14 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHeatdisObs|BenchmarkHeatdisFlushSched' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput' -benchtime 1s ./internal/mpi/
+
+# Vet and smoke-test the repository benchmark (bench/ is its own module,
+# so `./...` never reaches it): catalogue == BENCHMARK.json and one tiny
+# run of every metric (a few seconds). The benchmark itself is
+# `go run -C bench . -all`, see bench/README.md.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench .
 
 # Simulator-throughput regression gate: fails if BenchmarkSimThroughput
 # falls more than 20% below the checked-in, machine-speed-normalized

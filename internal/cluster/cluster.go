@@ -16,6 +16,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/sim"
@@ -217,7 +219,7 @@ func (n *Node) FlushAsyncFor(key, pfsKey string, start float64, owner int) (end 
 	if !ok {
 		return 0, fmt.Errorf("cluster: flush of missing scratch key %q on node %d", key, n.id)
 	}
-	end = n.pfs.WriteSizedFor(pfsKey, s.data, start, s.simBytes, owner)
+	end = n.pfs.write(pfsKey, s.data, start, s.simBytes, owner, 0)
 	n.mu.Lock()
 	n.recordFlushLocked(start, end)
 	n.mu.Unlock()
@@ -288,13 +290,15 @@ type file struct {
 	incomplete  bool
 }
 
-// PFS is the shared parallel file system.
+// PFS is the shared parallel file system. ends holds the completion times
+// of recorded writes in ascending order: the congestion count is a suffix
+// length found by binary search, and expired writes are a prefix.
 type PFS struct {
 	machine *sim.Machine
 
-	mu     sync.Mutex
-	files  map[string]file
-	active []window
+	mu    sync.Mutex
+	files map[string]file
+	ends  []float64
 }
 
 // NewPFS creates an empty parallel file system with the given cost model.
@@ -319,7 +323,7 @@ func (p *PFS) WriteSized(key string, data []byte, start float64, simBytes int) (
 // WriteSizedFor is WriteSized with the write attributed to an owner world
 // rank, allowing FailPending to invalidate it if the owner dies mid-write.
 func (p *PFS) WriteSizedFor(key string, data []byte, start float64, simBytes int, owner int) (end float64) {
-	return p.write(key, data, start, simBytes, owner, 0)
+	return p.write(key, slices.Clone(data), start, simBytes, owner, 0)
 }
 
 // WriteSharedFor is WriteSizedFor with the congestion divisor fixed by the
@@ -332,48 +336,43 @@ func (p *PFS) WriteSizedFor(key string, data []byte, start float64, simBytes int
 // ladder of congestion shares); scheduled flushes therefore carry an
 // explicit share instead.
 func (p *PFS) WriteSharedFor(key string, data []byte, start float64, simBytes int, owner, share int) (end float64) {
-	return p.write(key, data, start, simBytes, owner, share)
+	return p.write(key, slices.Clone(data), start, simBytes, owner, share)
 }
 
-// write stores data under key. With share > 0 the effective bandwidth is
-// the aggregate cap split share ways (capped per client); otherwise the
-// divisor is counted from already-recorded writes overlapping start.
+// write stores data under key and takes ownership of it: the caller must
+// never mutate data afterwards (node flushes pass their immutable scratch
+// blob; the public wrappers pass a private copy). With share > 0 the
+// effective bandwidth is the aggregate cap split share ways (capped per
+// client); otherwise the divisor is counted from already-recorded writes
+// still in flight at start.
 func (p *PFS) write(key string, data []byte, start float64, simBytes int, owner, share int) (end float64) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
 	concurrent := share
 	if concurrent <= 0 {
-		concurrent = 1
-		for _, w := range p.active {
-			if w.end > start {
-				concurrent++
-			}
-		}
+		concurrent = 1 + len(p.ends) - p.endsAfterLocked(start)
 	}
 	bw := p.machine.PFSAggregateBandwidth / float64(concurrent)
 	if bw > p.machine.PFSPerClientBandwidth {
 		bw = p.machine.PFSPerClientBandwidth
 	}
 	end = start + p.machine.PFSLatency + float64(simBytes)/bw
-	p.active = append(p.active, window{start: start, end: end})
-	if len(p.active) > 4096 {
-		kept := p.active[:0]
-		for _, w := range p.active {
-			if w.end > start-1.0 {
-				kept = append(kept, w)
-			}
-		}
-		p.active = kept
+	p.ends = slices.Insert(p.ends, p.endsAfterLocked(end), end)
+	if len(p.ends) > 4096 {
+		p.ends = p.ends[p.endsAfterLocked(start-1.0):]
 	}
 
 	if existing, ok := p.files[key]; !ok || existing.incomplete || end >= existing.availableAt {
-		p.files[key] = file{data: cp, simBytes: simBytes, availableAt: end, owner: owner}
+		p.files[key] = file{data: data, simBytes: simBytes, availableAt: end, owner: owner}
 	}
 	return end
+}
+
+// endsAfterLocked returns the index of the first recorded completion time
+// strictly after t. Caller holds p.mu.
+func (p *PFS) endsAfterLocked(t float64) int {
+	return sort.Search(len(p.ends), func(i int) bool { return p.ends[i] > t })
 }
 
 // FailPending marks every still-in-flight write owned by the given world

@@ -351,7 +351,7 @@ func (n *Node) advanceLocked(t float64, fire *[]func()) {
 			}
 			continue
 		}
-		end := n.pfs.WriteSharedFor(e.req.PFSKey, s.data, start, s.simBytes, e.req.Owner, e.req.Share)
+		end := n.pfs.write(e.req.PFSKey, s.data, start, s.simBytes, e.req.Owner, e.req.Share)
 		n.recordFlushLocked(start, end)
 		e.started, e.start, e.end = true, start, end
 		if k := e.req.CoalesceKey; k != "" {

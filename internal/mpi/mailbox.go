@@ -78,14 +78,23 @@ func (m *mailbox) deliver(key msgKey, msg message) {
 }
 
 // wakeAll wakes all blocked receivers so they re-check failure/revocation
-// state.
-func (m *mailbox) wakeAll() { m.cond.Broadcast() }
+// state. The broadcast happens under m.mu: a receiver evaluates giveUp and
+// enters cond.Wait without releasing m.mu in between, so holding it here
+// guarantees the receiver either sees the new state in giveUp or is
+// already waiting when the broadcast fires. Callers must not hold
+// world.mu (receivers take it inside giveUp while holding m.mu).
+func (m *mailbox) wakeAll() {
+	m.mu.Lock()
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
 
 // receive blocks until a message matching key is available or giveUp
 // returns a non-nil error (sender died, communicator revoked). giveUp is
 // evaluated while holding the mailbox lock; state changes that could make
-// it fire (markDead, Revoke) broadcast the condition variable only after
-// publishing their state, so wakeups are never lost.
+// it fire (markDead, Revoke, depart) publish their state first and then
+// call wakeAll, which broadcasts under the same lock, so a receiver
+// between giveUp and cond.Wait cannot miss the wake-up.
 //
 // p is the receiving process: under ExecPool the receiver yields its
 // execution slot before the first cond.Wait — a rank blocked on a
