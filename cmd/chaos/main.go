@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/harness"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func run(seeds int, start uint64, seed int64, mode, app, execMode string, stormR
 	}
 	fmt.Printf("chaos: %d seeds, %d passed, %d violated, %d hung\n",
 		camp.Seeds, camp.Passed, camp.Violated, camp.Hangs)
-	if err := writeJSON(jsonPath, camp.WriteJSON); err != nil {
+	if err := harness.WriteOutput(jsonPath, camp.WriteJSON); err != nil {
 		return err
 	}
 	if !camp.OK() {
@@ -115,30 +116,11 @@ func replay(seed uint64, mode, app, execMode string, stormRanks int, timeout tim
 	if jsonPath == "" {
 		jsonPath = "-"
 	}
-	if err := writeJSON(jsonPath, rep.WriteJSON); err != nil {
+	if err := harness.WriteOutput(jsonPath, rep.WriteJSON); err != nil {
 		return err
 	}
 	if !rep.OK() {
 		return fmt.Errorf("seed %d violated %d invariants", seed, len(rep.Violations))
 	}
 	return nil
-}
-
-func writeJSON(path string, write func(w io.Writer) error) error {
-	switch path {
-	case "":
-		return nil
-	case "-":
-		return write(os.Stdout)
-	default:
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
 }

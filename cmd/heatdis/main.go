@@ -9,123 +9,37 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/apps/heatdis"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/kokkos"
-	"repro/internal/mpi"
-	"repro/internal/obs"
-	"repro/internal/sim"
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
-// writeObs exports the observability recorder's event log and metrics
-// snapshot. A path of "-" selects stdout; an empty path skips that output.
-func writeObs(rec *obs.Recorder, eventsPath, metricsPath string) error {
-	write := func(path string, fn func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return fn(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(eventsPath, rec.WriteJSONL); err != nil {
-		return err
-	}
-	return write(metricsPath, rec.Registry().WritePrometheus)
-}
-
 func main() {
-	strategyName := flag.String("strategy", "fenix-kr-veloc", "resilience strategy: none, veloc, kr-veloc, fenix-veloc, fenix-kr-veloc, fenix-imr, partial-rollback")
-	ranks := flag.Int("ranks", 16, "application ranks (one per node)")
+	d := harness.NewDriver(flag.CommandLine, harness.DriverSpec{
+		Name: "heatdis", Unit: "iteration", RanksUsage: "application ranks (one per node)", Seed: 42,
+		// Replay-validator bounds: temperatures live in [0, sourceTemp].
+		SDCMin: 0, SDCMax: 100,
+	})
 	dataMB := flag.Int("data-mb", 256, "application data per rank in MB")
 	iters := flag.Int("iters", 60, "iterations (fixed variant)")
-	interval := flag.Int("interval", 10, "checkpoint interval in iterations")
-	spares := flag.Int("spares", 2, "spare ranks (Fenix strategies)")
-	fail := flag.Bool("fail", false, "inject a failure ~95% between the last two checkpoints")
-	failRank := flag.Int("fail-rank", 1, "logical rank to kill")
 	converge := flag.Bool("converge", false, "run the convergence variant")
 	epsilon := flag.Float64("epsilon", 0.05, "convergence threshold")
 	decomp := flag.String("decomp", "1d", "domain decomposition: 1d (row slabs) or 2d (Cartesian blocks)")
-	machinePreset := flag.String("machine", "xc40", "machine preset: xc40, commodity, exascale")
-	seed := flag.Uint64("seed", 42, "jitter seed")
-	eventsPath := flag.String("events", "", `write the structured resilience event log as JSONL to this path ("-" for stdout)`)
-	metricsPath := flag.String("metrics", "", `write the metrics snapshot in Prometheus text format to this path ("-" for stdout)`)
-	streamEvents := flag.Bool("stream", false, "stream the -events JSONL incrementally during the run instead of writing it at the end")
-	obsWindow := flag.Float64("obs-window", 0, "reorder window in virtual seconds for -stream (0 selects the default)")
-	ringCap := flag.Int("ring", 0, "bound the in-memory event log to the newest N events (0 = unbounded; combine with -stream to keep the full export)")
-	flushWindow := flag.Int("flush-window", 0, "bound in-flight checkpoint flushes per node to this many (0 = unscheduled: every flush starts immediately)")
-	flushCoalesce := flag.Bool("flush-coalesce", true, "with -flush-window, cancel queued flushes superseded by a newer version of the same checkpoint")
-	sdcPolicy := flag.String("sdc", "", "SDC detection policy for resilient regions: none, checksum, replay, vote (also enables checkpoint-blob verification)")
-	flag.Parse()
-
-	strategy, err := core.ParseStrategy(*strategyName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	mk, ok := sim.Presets[*machinePreset]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown machine preset %q\n", *machinePreset)
-		os.Exit(2)
-	}
-	machine := mk()
-	if !strategy.UsesFenix() {
-		*spares = 0
-	}
-	// When "-" routes the event log (or metrics) to stdout, the human
-	// summary moves to stderr so the machine stream stays parseable:
-	// `heatdis -fail -events - | obsreport` must deliver pure JSONL.
-	out := io.Writer(os.Stdout)
-	if *eventsPath == "-" || *metricsPath == "-" {
-		out = os.Stderr
-	}
+	d.Parse(os.Args[1:])
 
 	cfg := heatdis.Config{
 		BytesPerRank:       *dataMB << 20,
 		Iterations:         *iters,
-		CheckpointInterval: *interval,
-		Convergence:        *converge || strategy.PartialRollback(),
+		CheckpointInterval: d.Interval,
+		Convergence:        *converge || d.Strategy.Layers().Rollback == core.RollbackPartial,
 		Epsilon:            *epsilon,
 		MaxIterations:      20 * *iters,
 	}
-	cc := core.Config{
-		Strategy:           strategy,
-		Spares:             *spares,
-		CheckpointInterval: *interval,
-		CheckpointName:     "heatdis",
-	}
-	if *sdcPolicy != "" {
-		pol, err := kokkos.ParseSDCPolicy(*sdcPolicy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Replay-validator bounds: temperatures live in [0, sourceTemp].
-		cc.SDC = core.SDCConfig{Policy: pol, MinVal: 0, MaxVal: 100}
-	}
-	if *fail {
-		it := (*iters / *interval)**interval - 1 - *interval + int(0.95*float64(*interval))
-		cc.Failures = []*core.FailurePlan{{Slot: *failRank, Iteration: it}}
-		fmt.Fprintf(out, "injecting failure: logical rank %d exits before iteration %d\n", *failRank, it)
-	}
-
 	var app core.App
 	sink := heatdis.NewSink()
 	switch *decomp {
@@ -145,45 +59,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown decomposition %q\n", *decomp)
 		os.Exit(2)
 	}
-	var rec *obs.Recorder
-	if *eventsPath != "" || *metricsPath != "" {
-		rec = obs.New()
-		rec.SetRingCapacity(*ringCap)
-	}
-	job := mpi.JobConfig{
-		Ranks: *ranks + *spares, Machine: machine, Seed: *seed, Obs: rec,
-		Flush: cluster.FlushPolicy{Window: *flushWindow, Coalesce: *flushCoalesce},
-	}
 
-	// -stream exports the event log incrementally through the reorder
-	// window while the job runs; the post-hoc export is then skipped.
-	postHocEvents := *eventsPath
-	var streamBuf *bufio.Writer
-	var streamFile *os.File
-	if *streamEvents {
-		if *eventsPath == "" {
-			fmt.Fprintln(os.Stderr, "-stream requires -events")
-			os.Exit(2)
-		}
-		w := io.Writer(os.Stdout)
-		if *eventsPath != "-" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			streamFile, w = f, f
-		}
-		streamBuf = bufio.NewWriter(w)
-		job.ObsStream = streamBuf
-		job.ObsWindow = *obsWindow
-		postHocEvents = ""
-	}
+	res := d.Run(*iters, app)
 
-	res := core.Run(job, cc, app)
-
+	out := d.Out
 	fmt.Fprintf(out, "strategy=%s ranks=%d data=%dMB launches=%d wall=%.3fs failed=%v\n",
-		strategy, *ranks, *dataMB, res.Launches, res.WallTime, res.Failed)
+		d.Strategy, d.Ranks, *dataMB, res.Launches, res.WallTime, res.Failed)
 	times := res.TimesWithOther()
 	for _, c := range []trace.Category{
 		trace.AppCompute, trace.AppMPI, trace.ResilienceInit,
@@ -194,26 +75,5 @@ func main() {
 	if r, ok := sink.Get(0); ok {
 		fmt.Fprintf(out, "rank 0: iterations=%d residual=%.6f checksum=%.6g\n", r.Iterations, r.Delta, r.Checksum)
 	}
-	if rec != nil {
-		if streamBuf != nil {
-			err := rec.FlushStream()
-			if err == nil {
-				err = streamBuf.Flush()
-			}
-			if err == nil && streamFile != nil {
-				err = streamFile.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "streaming events:", err)
-				os.Exit(1)
-			}
-		}
-		if err := writeObs(rec, postHocEvents, *metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if res.Failed {
-		os.Exit(1)
-	}
+	d.Finish(res)
 }

@@ -9,159 +9,38 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/apps/minimd"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/kokkos"
-	"repro/internal/mpi"
-	"repro/internal/obs"
-	"repro/internal/sim"
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
-// writeObs exports the observability recorder's event log and metrics
-// snapshot. A path of "-" selects stdout; an empty path skips that output.
-func writeObs(rec *obs.Recorder, eventsPath, metricsPath string) error {
-	write := func(path string, fn func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return fn(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(eventsPath, rec.WriteJSONL); err != nil {
-		return err
-	}
-	return write(metricsPath, rec.Registry().WritePrometheus)
-}
-
 func main() {
-	strategyName := flag.String("strategy", "fenix-kr-veloc", "resilience strategy")
-	ranks := flag.Int("ranks", 16, "application ranks")
+	d := harness.NewDriver(flag.CommandLine, harness.DriverSpec{
+		Name: "minimd", Unit: "step", RanksUsage: "application ranks", Seed: 43,
+		// Replay-validator bounds: forces/positions are finite but have no
+		// tight a-priori range; only wild exponent flips and NaN/Inf are
+		// rejectable.
+		SDCMin: -1e12, SDCMax: 1e12,
+	})
 	size := flag.Int("size", 100, "simulated problem edge in unit cells (size^3 cells)")
 	steps := flag.Int("steps", 60, "timesteps")
-	interval := flag.Int("interval", 10, "checkpoint interval in steps")
-	spares := flag.Int("spares", 2, "spare ranks (Fenix strategies)")
-	fail := flag.Bool("fail", false, "inject a failure ~95% between the last two checkpoints")
-	failRank := flag.Int("fail-rank", 1, "logical rank to kill")
-	machinePreset := flag.String("machine", "xc40", "machine preset: xc40, commodity, exascale")
-	seed := flag.Uint64("seed", 43, "jitter seed")
-	eventsPath := flag.String("events", "", `write the structured resilience event log as JSONL to this path ("-" for stdout)`)
-	metricsPath := flag.String("metrics", "", `write the metrics snapshot in Prometheus text format to this path ("-" for stdout)`)
-	streamEvents := flag.Bool("stream", false, "stream the -events JSONL incrementally during the run instead of writing it at the end")
-	obsWindow := flag.Float64("obs-window", 0, "reorder window in virtual seconds for -stream (0 selects the default)")
-	ringCap := flag.Int("ring", 0, "bound the in-memory event log to the newest N events (0 = unbounded; combine with -stream to keep the full export)")
-	flushWindow := flag.Int("flush-window", 0, "bound in-flight checkpoint flushes per node to this many (0 = unscheduled: every flush starts immediately)")
-	flushCoalesce := flag.Bool("flush-coalesce", true, "with -flush-window, cancel queued flushes superseded by a newer version of the same checkpoint")
-	sdcPolicy := flag.String("sdc", "", "SDC detection policy for resilient regions: none, checksum, replay, vote (also enables checkpoint-blob verification)")
-	flag.Parse()
-
-	strategy, err := core.ParseStrategy(*strategyName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	mk, ok := sim.Presets[*machinePreset]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown machine preset %q\n", *machinePreset)
-		os.Exit(2)
-	}
-	machine := mk()
-	if !strategy.UsesFenix() {
-		*spares = 0
-	}
-	// When "-" routes the event log (or metrics) to stdout, the human
-	// summary moves to stderr so the machine stream stays parseable:
-	// `minimd -fail -events - | obsreport` must deliver pure JSONL.
-	out := io.Writer(os.Stdout)
-	if *eventsPath == "-" || *metricsPath == "-" {
-		out = os.Stderr
-	}
+	d.Parse(os.Args[1:])
 
 	cfg := minimd.Config{
 		Size:               *size,
 		Steps:              *steps,
-		CheckpointInterval: *interval,
+		CheckpointInterval: d.Interval,
 	}
-	cc := core.Config{
-		Strategy:           strategy,
-		Spares:             *spares,
-		CheckpointInterval: *interval,
-		CheckpointName:     "minimd",
-	}
-	if *sdcPolicy != "" {
-		pol, err := kokkos.ParseSDCPolicy(*sdcPolicy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Replay-validator bounds: forces/positions are finite but have no
-		// tight a-priori range; only wild exponent flips and NaN/Inf are
-		// rejectable.
-		cc.SDC = core.SDCConfig{Policy: pol, MinVal: -1e12, MaxVal: 1e12}
-	}
-	if *fail {
-		it := (*steps / *interval)**interval - 1 - *interval + int(0.95*float64(*interval))
-		cc.Failures = []*core.FailurePlan{{Slot: *failRank, Iteration: it}}
-		fmt.Fprintf(out, "injecting failure: logical rank %d exits before step %d\n", *failRank, it)
-	}
-
 	sink := minimd.NewSink()
-	var rec *obs.Recorder
-	if *eventsPath != "" || *metricsPath != "" {
-		rec = obs.New()
-		rec.SetRingCapacity(*ringCap)
-	}
-	job := mpi.JobConfig{
-		Ranks: *ranks + *spares, Machine: machine, Seed: *seed, Obs: rec,
-		Flush: cluster.FlushPolicy{Window: *flushWindow, Coalesce: *flushCoalesce},
-	}
+	res := d.Run(*steps, minimd.App(cfg, sink))
 
-	// -stream exports the event log incrementally through the reorder
-	// window while the job runs; the post-hoc export is then skipped.
-	postHocEvents := *eventsPath
-	var streamBuf *bufio.Writer
-	var streamFile *os.File
-	if *streamEvents {
-		if *eventsPath == "" {
-			fmt.Fprintln(os.Stderr, "-stream requires -events")
-			os.Exit(2)
-		}
-		w := io.Writer(os.Stdout)
-		if *eventsPath != "-" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			streamFile, w = f, f
-		}
-		streamBuf = bufio.NewWriter(w)
-		job.ObsStream = streamBuf
-		job.ObsWindow = *obsWindow
-		postHocEvents = ""
-	}
-
-	res := core.Run(job, cc, minimd.App(cfg, sink))
-
+	out := d.Out
 	fmt.Fprintf(out, "strategy=%s ranks=%d size=%d^3 (%d atoms/rank simulated) launches=%d wall=%.3fs failed=%v\n",
-		strategy, *ranks, *size, cfg.SimAtomsPerRank(*ranks), res.Launches, res.WallTime, res.Failed)
+		d.Strategy, d.Ranks, *size, cfg.SimAtomsPerRank(d.Ranks), res.Launches, res.WallTime, res.Failed)
 	times := res.TimesWithOther()
 	for _, c := range []trace.Category{
 		trace.ForceCompute, trace.Neighboring, trace.Communicator,
@@ -173,26 +52,5 @@ func main() {
 	if r, ok := sink.Get(0); ok {
 		fmt.Fprintf(out, "rank 0: steps=%d T=%.4f PE=%.4f checksum=%.6g\n", r.Steps, r.Temp, r.PE, r.Checksum)
 	}
-	if rec != nil {
-		if streamBuf != nil {
-			err := rec.FlushStream()
-			if err == nil {
-				err = streamBuf.Flush()
-			}
-			if err == nil && streamFile != nil {
-				err = streamFile.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "streaming events:", err)
-				os.Exit(1)
-			}
-		}
-		if err := writeObs(rec, postHocEvents, *metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if res.Failed {
-		os.Exit(1)
-	}
+	d.Finish(res)
 }

@@ -269,30 +269,45 @@ func TestStrategyParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStrategyPredicates checks every strategy's layer row against the
+// paper's configurations, and the three predicates the harness and the
+// benchmark read against that row.
 func TestStrategyPredicates(t *testing.T) {
-	cases := []struct {
-		s                             Strategy
-		fenixP, krP, velocP, imrP, rl bool
-	}{
-		{StrategyNone, false, false, false, false, false},
-		{StrategyVeloC, false, false, true, false, true},
-		{StrategyKRVeloC, false, true, true, false, true},
-		{StrategyFenixVeloC, true, false, true, false, false},
-		{StrategyFenixKRVeloC, true, true, true, false, false},
-		{StrategyFenixIMR, true, true, false, true, false},
-		{StrategyPartialRollback, true, true, true, false, false},
+	want := map[Strategy]Layers{
+		StrategyNone:            {"none", ProcessNone, ControlNone, DataNone, RollbackNone},
+		StrategyVeloC:           {"veloc", ProcessNone, ControlManual, DataVeloC, RollbackRelaunch},
+		StrategyKRVeloC:         {"kr-veloc", ProcessNone, ControlKR, DataVeloC, RollbackRelaunch},
+		StrategyFenixVeloC:      {"fenix-veloc", ProcessFenix, ControlManual, DataVeloC, RollbackGlobal},
+		StrategyFenixKRVeloC:    {"fenix-kr-veloc", ProcessFenix, ControlKR, DataVeloC, RollbackGlobal},
+		StrategyFenixIMR:        {"fenix-imr", ProcessFenix, ControlKR, DataIMR, RollbackGlobal},
+		StrategyPartialRollback: {"partial-rollback", ProcessFenix, ControlKR, DataVeloC, RollbackPartial},
+		StrategyLocalized:       {"localized", ProcessFenix, ControlKR, DataVeloC, RollbackLocalized},
 	}
-	for _, c := range cases {
-		if c.s.UsesFenix() != c.fenixP || c.s.UsesKR() != c.krP || c.s.UsesVeloC() != c.velocP ||
-			c.s.UsesIMR() != c.imrP || c.s.UsesRelaunch() != c.rl {
-			t.Fatalf("predicates wrong for %v", c.s)
+	if len(want) != len(Strategies()) {
+		t.Fatalf("%d strategies, table expects %d", len(Strategies()), len(want))
+	}
+	for _, s := range Strategies() {
+		l := s.Layers()
+		if l != want[s] {
+			t.Errorf("%v: layers %+v, want %+v", s, l, want[s])
 		}
-	}
-	if !StrategyPartialRollback.PartialRollback() || StrategyFenixKRVeloC.PartialRollback() {
-		t.Fatal("PartialRollback predicate wrong")
-	}
-	if StrategyNone.Checkpoints() || !StrategyVeloC.Checkpoints() {
-		t.Fatal("Checkpoints predicate wrong")
+		if l.Name != s.String() {
+			t.Errorf("%v: row name %q", s, l.Name)
+		}
+		if s.UsesFenix() != (l.Process == ProcessFenix) ||
+			s.UsesRelaunch() != (l.Rollback == RollbackRelaunch) ||
+			s.Checkpoints() != (l.Data != DataNone) {
+			t.Errorf("%v: predicates disagree with %+v", s, l)
+		}
+		// Online rollback modes need Fenix; relaunch needs its absence.
+		online := l.Rollback == RollbackGlobal || l.Rollback == RollbackPartial || l.Rollback == RollbackLocalized
+		if online != s.UsesFenix() {
+			t.Errorf("%v: rollback %q with process %q", s, l.Rollback, l.Process)
+		}
+		// A data layer needs control flow driving it, and vice versa.
+		if (l.Data == DataNone) != (l.Control == ControlNone) {
+			t.Errorf("%v: data %q with control %q", s, l.Data, l.Control)
+		}
 	}
 }
 

@@ -52,14 +52,15 @@ func (r *Result) TimesWithOther() trace.Times {
 // Run executes app under the given strategy on a simulated job.
 func Run(job mpi.JobConfig, cfg Config, app App) *Result {
 	cfg.normalize()
-	if cfg.Strategy.UsesRelaunch() {
+	layers := cfg.Strategy.Layers()
+	if layers.Rollback == RollbackRelaunch {
 		job.FailRestart = true
 		job.MaxRestarts = cfg.MaxRestarts
 	}
-	if !cfg.Strategy.UsesFenix() && (cfg.Spares != 0 || cfg.RehostReserve != 0) {
+	if layers.Process != ProcessFenix && (cfg.Spares != 0 || cfg.RehostReserve != 0) {
 		panic(fmt.Sprintf("core: strategy %v cannot use spares", cfg.Strategy))
 	}
-	if cfg.Strategy.Localized() {
+	if layers.Rollback == RollbackLocalized {
 		// Localized recovery needs the sender-based message log capturing
 		// from the first iteration on.
 		job.MsgLog = true
@@ -76,8 +77,10 @@ func Run(job mpi.JobConfig, cfg Config, app App) *Result {
 }
 
 func runRank(p *mpi.Proc, cfg *Config, prog *progress, app App) error {
-	if !cfg.Strategy.UsesFenix() {
-		s, err := newPlainSession(p, cfg, prog)
+	if cfg.Strategy.Layers().Process != ProcessFenix {
+		// Without Fenix the session is rebuilt on every relaunch, and the
+		// data layer's version query performs the recovery discovery.
+		s, err := newSession(p, cfg, prog, nil)
 		if err != nil {
 			return err
 		}
@@ -102,39 +105,6 @@ func runRank(p *mpi.Proc, cfg *Config, prog *progress, app App) error {
 	})
 }
 
-// newPlainSession builds the session for non-Fenix strategies. For
-// fail-restart strategies this runs afresh on every relaunch, and the
-// VeloC version query performs the recovery discovery.
-func newPlainSession(p *mpi.Proc, cfg *Config, prog *progress) (*Session, error) {
-	comm := p.World().CommWorld()
-	s := &Session{p: p, cfg: cfg, prog: prog, comm: comm, role: fenix.RoleInitial, Store: make(map[string]any), liveIter: -1, shadowIter: -1}
-	switch cfg.Strategy {
-	case StrategyNone:
-		return s, nil
-	case StrategyVeloC:
-		client, err := veloc.New(p, veloc.Config{Mode: veloc.Collective, Comm: comm, Verify: cfg.SDC.Policy != kokkos.SDCNone})
-		if err != nil {
-			return nil, err
-		}
-		s.manual = &manualCtx{client: client, name: cfg.CheckpointName, interval: cfg.CheckpointInterval, latest: -1}
-		return s, s.manual.resync(comm, p)
-	case StrategyKRVeloC:
-		client, err := veloc.New(p, veloc.Config{Mode: veloc.Collective, Comm: comm, Verify: cfg.SDC.Policy != kokkos.SDCNone})
-		if err != nil {
-			return nil, err
-		}
-		ctx, err := kr.MakeContext(p, comm, kr.NewVeloCBackend(client, cfg.CheckpointName),
-			kr.Config{Interval: cfg.CheckpointInterval, RestoreSurvivors: true})
-		if err != nil {
-			return nil, err
-		}
-		s.krctx = ctx
-		return s, nil
-	default:
-		return nil, fmt.Errorf("core: strategy %v is not a plain strategy", cfg.Strategy)
-	}
-}
-
 // sessionForEntry builds or refreshes the session on each entry into the
 // Fenix-protected body, implementing the role dispatch of Figure 4:
 // initial ranks create contexts, survivors reset them against the repaired
@@ -152,7 +122,7 @@ func sessionForEntry(held *Session, fctx *fenix.Context, cfg *Config, prog *prog
 			if err := held.krctx.Reset(fctx.Comm()); err != nil {
 				return nil, err
 			}
-			if cfg.Strategy.Localized() {
+			if cfg.Strategy.Layers().Rollback == RollbackLocalized {
 				if held.krctx.RecoveryPending() {
 					held.collInstallPending = p.MsgLogActive()
 				} else {
@@ -174,65 +144,76 @@ func sessionForEntry(held *Session, fctx *fenix.Context, cfg *Config, prog *prog
 		}
 		return held, nil
 	}
-
 	// Initial entry or a recovered replacement: build everything fresh.
+	return newSession(p, cfg, prog, fctx)
+}
+
+// newSession builds a rank's session from its strategy's layer row: on a
+// plain launch or relaunch (fctx nil), on a Fenix initial entry, and for a
+// recovered replacement. The data layer comes first, then the control
+// flow that drives it.
+func newSession(p *mpi.Proc, cfg *Config, prog *progress, fctx *fenix.Context) (*Session, error) {
+	layers := cfg.Strategy.Layers()
 	s := &Session{
 		p: p, cfg: cfg, prog: prog,
-		comm: fctx.Comm(), role: fctx.Role(), fctx: fctx,
+		comm: p.World().CommWorld(), role: fenix.RoleInitial, fctx: fctx,
 		Store: make(map[string]any), liveIter: -1, shadowIter: -1,
 	}
-	switch cfg.Strategy {
-	case StrategyFenixVeloC:
-		client, err := veloc.New(p, veloc.Config{Mode: veloc.Single, Rank: fctx.Rank(), RankSet: true, Verify: cfg.SDC.Policy != kokkos.SDCNone})
-		if err != nil {
+	if fctx != nil {
+		s.comm, s.role = fctx.Comm(), fctx.Role()
+	}
+
+	var client *veloc.Client
+	var backend kr.Backend
+	switch layers.Data {
+	case DataVeloC:
+		vcfg := veloc.Config{Mode: veloc.Collective, Comm: s.comm, Verify: cfg.SDC.Policy != kokkos.SDCNone}
+		if fctx != nil {
+			// Under Fenix each rank writes alone, named by its logical rank
+			// so a replacement finds its predecessor's checkpoints.
+			vcfg.Mode, vcfg.Rank, vcfg.RankSet = veloc.Single, fctx.Rank(), true
+		}
+		var err error
+		if client, err = veloc.New(p, vcfg); err != nil {
 			return nil, err
 		}
-		// The comm is not used for collectives in Single mode, but the flush
-		// scheduler needs it for the PFS congestion share.
-		client.SetComm(fctx.Comm())
-		s.manual = &manualCtx{client: client, name: cfg.CheckpointName, interval: cfg.CheckpointInterval, latest: -1}
-		return s, s.manual.resync(fctx.Comm(), p)
-	case StrategyFenixKRVeloC, StrategyPartialRollback, StrategyLocalized:
-		client, err := veloc.New(p, veloc.Config{Mode: veloc.Single, Rank: fctx.Rank(), RankSet: true, Verify: cfg.SDC.Policy != kokkos.SDCNone})
-		if err != nil {
-			return nil, err
-		}
-		krCfg := kr.Config{Interval: cfg.CheckpointInterval, RestoreSurvivors: true}
-		if cfg.Strategy.PartialRollback() || cfg.Strategy.Localized() {
-			krCfg.RestoreSurvivors = false
-			krCfg.Recovered = func() bool { return fctx.Role() == fenix.RoleRecovered }
-			krCfg.Localized = cfg.Strategy.Localized()
-		}
-		ctx, err := kr.MakeContext(p, fctx.Comm(), kr.NewVeloCBackend(client, cfg.CheckpointName), krCfg)
-		if err != nil {
-			return nil, err
-		}
-		s.krctx = ctx
-		if cfg.Strategy.Localized() && fctx.Role() == fenix.RoleRecovered {
-			if ctx.RecoveryPending() {
-				// The replacement's replay clock starts at re-entry; it
-				// stops when forward re-execution crosses the log frontier.
-				s.replayStarted, s.replayStart = true, p.Now()
-			} else {
-				// Predecessor died before any commit: full re-execution
-				// from scratch for everyone; drop the aborted epoch's log.
-				p.MsgLogResetOnce(fctx.Generation())
-			}
-		}
-		return s, nil
-	case StrategyFenixIMR:
+		backend = kr.NewVeloCBackend(client, cfg.CheckpointName)
+	case DataIMR:
 		im, err := fenix.NewIMR(fctx, cfg.CheckpointName)
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := kr.MakeContext(p, fctx.Comm(), kr.NewIMRBackend(im),
-			kr.Config{Interval: cfg.CheckpointInterval, RestoreSurvivors: true})
+		backend = kr.NewIMRBackend(im)
+	}
+
+	switch layers.Control {
+	case ControlManual:
+		s.manual = &manualCtx{client: client, name: cfg.CheckpointName, interval: cfg.CheckpointInterval, latest: -1}
+		return s, s.manual.resync(s.comm, p)
+	case ControlKR:
+		krCfg := kr.Config{Interval: cfg.CheckpointInterval, RestoreSurvivors: true}
+		if layers.Rollback == RollbackPartial || layers.Rollback == RollbackLocalized {
+			krCfg.RestoreSurvivors = false
+			krCfg.Recovered = func() bool { return fctx.Role() == fenix.RoleRecovered }
+			krCfg.Localized = layers.Rollback == RollbackLocalized
+		}
+		ctx, err := kr.MakeContext(p, s.comm, backend, krCfg)
 		if err != nil {
 			return nil, err
 		}
 		s.krctx = ctx
-		return s, nil
-	default:
-		return nil, fmt.Errorf("core: strategy %v is not a Fenix strategy", cfg.Strategy)
 	}
+
+	if layers.Rollback == RollbackLocalized && s.role == fenix.RoleRecovered {
+		if s.krctx.RecoveryPending() {
+			// The replacement's replay clock starts at re-entry; it
+			// stops when forward re-execution crosses the log frontier.
+			s.replayStarted, s.replayStart = true, p.Now()
+		} else {
+			// Predecessor died before any commit: full re-execution
+			// from scratch for everyone; drop the aborted epoch's log.
+			p.MsgLogResetOnce(fctx.Generation())
+		}
+	}
+	return s, nil
 }

@@ -230,7 +230,7 @@ func (s *Session) Census() kr.Census {
 // force: the strategy selects it, KR manages control flow, and the log has
 // not been disabled by a shrink compaction.
 func (s *Session) localizedActive() bool {
-	return s.cfg.Strategy.Localized() && s.krctx != nil && s.p.MsgLogActive()
+	return s.cfg.Strategy.Layers().Rollback == RollbackLocalized && s.krctx != nil && s.p.MsgLogActive()
 }
 
 // msgLogBoundary runs the DESIGN.md §12 checkpoint-region boundary
@@ -359,7 +359,7 @@ func (s *Session) Checkpoint(label string, iter int, views []kokkos.View, body f
 		// Under partial rollback survivors never roll their data back, so
 		// re-executed loop indices are not wasted work — they advance the
 		// solver. Only the recovered rank truly recomputes.
-		if s.cfg.Strategy.PartialRollback() && s.role != fenix.RoleRecovered {
+		if s.cfg.Strategy.Layers().Rollback == RollbackPartial && s.role != fenix.RoleRecovered {
 			re = false
 		}
 		s.p.Recorder().SetRecompute(re)

@@ -42,29 +42,76 @@ const (
 	numStrategies
 )
 
-var strategyNames = [...]string{
-	StrategyNone:            "none",
-	StrategyVeloC:           "veloc",
-	StrategyKRVeloC:         "kr-veloc",
-	StrategyFenixVeloC:      "fenix-veloc",
-	StrategyFenixKRVeloC:    "fenix-kr-veloc",
-	StrategyFenixIMR:        "fenix-imr",
-	StrategyPartialRollback: "partial-rollback",
-	StrategyLocalized:       "localized",
+// Process is the process-recovery layer a strategy uses.
+type Process string
+
+// Control is the control-flow layer: what decides when to checkpoint and
+// when to restore.
+type Control string
+
+// Data is the data layer that holds checkpoints.
+type Data string
+
+// Rollback is how the job returns to a consistent state after a failure.
+type Rollback string
+
+// Layer choices, one column each of the strategy table.
+const (
+	ProcessNone  Process = "none"
+	ProcessFenix Process = "fenix" // online process recovery with spares
+
+	ControlNone   Control = "none"
+	ControlManual Control = "manual" // hand-written protect/restore/checkpoint
+	ControlKR     Control = "kr"     // Kokkos Resilience regions
+
+	DataNone  Data = "none"
+	DataVeloC Data = "veloc" // Collective without Fenix, Single with it
+	DataIMR   Data = "imr"   // Fenix in-memory redundancy (buddy rank)
+
+	RollbackNone      Rollback = "none"
+	RollbackRelaunch  Rollback = "relaunch"  // full job relaunch (fail-restart)
+	RollbackGlobal    Rollback = "global"    // every rank restores the checkpoint
+	RollbackPartial   Rollback = "partial"   // survivors keep in-progress data
+	RollbackLocalized Rollback = "localized" // only the replacement replays, from the message log
+)
+
+// Layers is one row of the strategy table: the layer chosen in each
+// column.
+type Layers struct {
+	Name     string
+	Process  Process
+	Control  Control
+	Data     Data
+	Rollback Rollback
 }
+
+// strategyTable is the single definition of every strategy's layers.
+var strategyTable = [numStrategies]Layers{
+	StrategyNone:            {"none", ProcessNone, ControlNone, DataNone, RollbackNone},
+	StrategyVeloC:           {"veloc", ProcessNone, ControlManual, DataVeloC, RollbackRelaunch},
+	StrategyKRVeloC:         {"kr-veloc", ProcessNone, ControlKR, DataVeloC, RollbackRelaunch},
+	StrategyFenixVeloC:      {"fenix-veloc", ProcessFenix, ControlManual, DataVeloC, RollbackGlobal},
+	StrategyFenixKRVeloC:    {"fenix-kr-veloc", ProcessFenix, ControlKR, DataVeloC, RollbackGlobal},
+	StrategyFenixIMR:        {"fenix-imr", ProcessFenix, ControlKR, DataIMR, RollbackGlobal},
+	StrategyPartialRollback: {"partial-rollback", ProcessFenix, ControlKR, DataVeloC, RollbackPartial},
+	StrategyLocalized:       {"localized", ProcessFenix, ControlKR, DataVeloC, RollbackLocalized},
+}
+
+// Layers returns the strategy's row of the layer table.
+func (s Strategy) Layers() Layers { return strategyTable[s] }
 
 // String returns the strategy's flag name.
 func (s Strategy) String() string {
-	if s < 0 || int(s) >= len(strategyNames) {
+	if s < 0 || s >= numStrategies {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
-	return strategyNames[s]
+	return strategyTable[s].Name
 }
 
 // ParseStrategy resolves a flag name to a Strategy.
 func ParseStrategy(name string) (Strategy, error) {
-	for i, n := range strategyNames {
-		if n == name {
+	for i, l := range strategyTable {
+		if l.Name == name {
 			return Strategy(i), nil
 		}
 	}
@@ -81,47 +128,11 @@ func Strategies() []Strategy {
 }
 
 // UsesFenix reports whether the strategy recovers processes online.
-func (s Strategy) UsesFenix() bool {
-	switch s {
-	case StrategyFenixVeloC, StrategyFenixKRVeloC, StrategyFenixIMR, StrategyPartialRollback, StrategyLocalized:
-		return true
-	}
-	return false
-}
-
-// UsesKR reports whether control flow is managed by Kokkos Resilience.
-func (s Strategy) UsesKR() bool {
-	switch s {
-	case StrategyKRVeloC, StrategyFenixKRVeloC, StrategyFenixIMR, StrategyPartialRollback, StrategyLocalized:
-		return true
-	}
-	return false
-}
-
-// UsesVeloC reports whether the data layer is VeloC.
-func (s Strategy) UsesVeloC() bool {
-	switch s {
-	case StrategyVeloC, StrategyKRVeloC, StrategyFenixVeloC, StrategyFenixKRVeloC, StrategyPartialRollback, StrategyLocalized:
-		return true
-	}
-	return false
-}
-
-// UsesIMR reports whether the data layer is in-memory redundancy.
-func (s Strategy) UsesIMR() bool { return s == StrategyFenixIMR }
+func (s Strategy) UsesFenix() bool { return s.Layers().Process == ProcessFenix }
 
 // UsesRelaunch reports whether failures are recovered by relaunching the
 // whole job (classic checkpoint/restart).
-func (s Strategy) UsesRelaunch() bool {
-	return s == StrategyVeloC || s == StrategyKRVeloC
-}
-
-// PartialRollback reports whether survivors keep in-progress data.
-func (s Strategy) PartialRollback() bool { return s == StrategyPartialRollback }
-
-// Localized reports whether recovery is message-log localized: only the
-// replacement rank recomputes while survivors pause in place.
-func (s Strategy) Localized() bool { return s == StrategyLocalized }
+func (s Strategy) UsesRelaunch() bool { return s.Layers().Rollback == RollbackRelaunch }
 
 // Checkpoints reports whether the strategy writes checkpoints at all.
-func (s Strategy) Checkpoints() bool { return s != StrategyNone }
+func (s Strategy) Checkpoints() bool { return s.Layers().Data != DataNone }

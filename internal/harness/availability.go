@@ -149,7 +149,7 @@ func AvailabilityStudy(strategies []core.Strategy, opts AvailabilityOptions) []A
 		spares := 0
 		if strat.UsesFenix() {
 			spares = len(mine) + 1
-			if (opts.Ranks+spares)%2 != (opts.Ranks)%2 && strat.UsesIMR() {
+			if (opts.Ranks+spares)%2 != (opts.Ranks)%2 && strat.Layers().Data == core.DataIMR {
 				spares++ // keep resilient comm even for buddy pairing
 			}
 		}

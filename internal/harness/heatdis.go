@@ -99,6 +99,23 @@ func failIteration(iterations, interval int) int {
 	return prev + int(0.95*float64(interval))
 }
 
+// figureCell runs one Figure 5/6 cell's job pair: fault-free, then, for
+// strategies that checkpoint, with logical rank 1 killed before iteration
+// failIter (otherwise the fault-free run stands for both). Fenix strategies
+// run with cc.Spares extra ranks; newApp builds each run's application.
+func figureCell(job mpi.JobConfig, cc core.Config, failIter int, newApp func() core.App) (ovh, fail *core.Result) {
+	if !cc.Strategy.UsesFenix() {
+		cc.Spares = 0
+	}
+	job.Ranks += cc.Spares
+	ovh = core.Run(job, cc, newApp())
+	if !cc.Strategy.Checkpoints() {
+		return ovh, ovh
+	}
+	cc.Failures = []*core.FailurePlan{{Slot: 1, Iteration: failIter}}
+	return ovh, core.Run(job, cc, newApp())
+}
+
 // epsCache memoizes convergence-threshold calibrations, keyed by the
 // parameters the residual trajectory actually depends on (the real grid
 // and rank count, not the simulated data size).
@@ -141,7 +158,7 @@ func HeatdisCell(strategy core.Strategy, nodes, bytesPerRank int, opts HeatdisOp
 		ActualRows:         opts.ActualRows,
 		ActualCols:         opts.ActualCols,
 	}
-	if strategy.PartialRollback() {
+	if strategy.Layers().Rollback == core.RollbackPartial {
 		// The partial-rollback demonstration uses the convergence variant.
 		// Calibrate epsilon so the failure-free convergence run lasts about
 		// as long as the fixed-iteration runs, keeping the Figure 5 bars
@@ -159,41 +176,11 @@ func HeatdisCell(strategy core.Strategy, nodes, bytesPerRank int, opts HeatdisOp
 		FailIteration: failIteration(opts.Iterations, opts.Interval),
 	}
 
-	run := func(fail *core.FailurePlan, seed uint64) (*core.Result, trace.Times) {
-		spares := 0
-		if strategy.UsesFenix() {
-			spares = opts.Spares
-		}
-		cc := core.Config{
-			Strategy:           strategy,
-			Spares:             spares,
-			CheckpointInterval: opts.Interval,
-			CheckpointName:     "heatdis",
-		}
-		if fail != nil {
-			cc.Failures = []*core.FailurePlan{fail}
-		}
-		sink := heatdis.NewSink()
-		res := core.Run(mpi.JobConfig{
-			Ranks:   nodes + spares,
-			Machine: opts.Machine,
-			Seed:    seed,
-		}, cc, heatdis.App(cfg, sink))
-		return res, res.TimesWithOther()
-	}
-
-	res, times := run(nil, opts.Seed)
-	pt.Overhead = times
-	pt.OverheadWall = res.WallTime
-
-	if strategy.Checkpoints() {
-		fres, ftimes := run(&core.FailurePlan{Slot: 1, Iteration: pt.FailIteration}, opts.Seed)
-		pt.FailureTimes = ftimes
-		pt.FailureWall = fres.WallTime
-	} else {
-		pt.FailureTimes = times
-		pt.FailureWall = res.WallTime
-	}
+	ovh, fres := figureCell(mpi.JobConfig{Ranks: nodes, Machine: opts.Machine, Seed: opts.Seed},
+		core.Config{Strategy: strategy, Spares: opts.Spares, CheckpointInterval: opts.Interval, CheckpointName: "heatdis"},
+		pt.FailIteration, func() core.App { return heatdis.App(cfg, heatdis.NewSink()) })
+	pt.Overhead, pt.OverheadWall = ovh.TimesWithOther(), ovh.WallTime
+	pt.FailureTimes, pt.FailureWall = fres.TimesWithOther(), fres.WallTime
 	return pt
 }
 

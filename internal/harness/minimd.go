@@ -84,40 +84,11 @@ func MiniMDCell(strategy core.Strategy, ranks int, opts MiniMDOptions) MiniMDPoi
 		FailIteration: failIteration(opts.Steps, opts.Interval),
 	}
 
-	run := func(fail *core.FailurePlan, seed uint64) (*core.Result, trace.Times) {
-		spares := 0
-		if strategy.UsesFenix() {
-			spares = opts.Spares
-		}
-		cc := core.Config{
-			Strategy:           strategy,
-			Spares:             spares,
-			CheckpointInterval: opts.Interval,
-			CheckpointName:     "minimd",
-		}
-		if fail != nil {
-			cc.Failures = []*core.FailurePlan{fail}
-		}
-		sink := minimd.NewSink()
-		res := core.Run(mpi.JobConfig{
-			Ranks:   ranks + spares,
-			Machine: opts.Machine,
-			Seed:    seed,
-		}, cc, minimd.App(cfg, sink))
-		return res, res.TimesWithOther()
-	}
-
-	res, times := run(nil, opts.Seed)
-	pt.Overhead = times
-	pt.OverheadWall = res.WallTime
-	if strategy.Checkpoints() {
-		fres, ftimes := run(&core.FailurePlan{Slot: 1, Iteration: pt.FailIteration}, opts.Seed)
-		pt.FailureTimes = ftimes
-		pt.FailureWall = fres.WallTime
-	} else {
-		pt.FailureTimes = times
-		pt.FailureWall = res.WallTime
-	}
+	ovh, fres := figureCell(mpi.JobConfig{Ranks: ranks, Machine: opts.Machine, Seed: opts.Seed},
+		core.Config{Strategy: strategy, Spares: opts.Spares, CheckpointInterval: opts.Interval, CheckpointName: "minimd"},
+		pt.FailIteration, func() core.App { return minimd.App(cfg, minimd.NewSink()) })
+	pt.Overhead, pt.OverheadWall = ovh.TimesWithOther(), ovh.WallTime
+	pt.FailureTimes, pt.FailureWall = fres.TimesWithOther(), fres.WallTime
 	return pt
 }
 

@@ -90,7 +90,9 @@ type Config struct {
 	// Mode selects collective or single operation.
 	Mode Mode
 	// Comm is the communicator used for collective version selection;
-	// required in Collective mode, ignored in Single mode.
+	// required in Collective mode. In Single mode it is optional and only
+	// sets the PFS congestion share of this client's flushes (its size;
+	// see scheduleFlush).
 	Comm *mpi.Comm
 	// Rank is the logical rank identity used in checkpoint file names. It
 	// defaults to the comm rank (Collective) or world rank (Single). After

@@ -99,6 +99,15 @@ run_report() {
     go run ./cmd/obsreport -json "$tmp/events.jsonl" > "$tmp/report.json"
     grep -q '"failures_repaired": 1' "$tmp/report.json"
     grep -q '"failures_unrepaired": 0' "$tmp/report.json"
+
+    # The same pipeline through cmd/minimd, the other user of the shared
+    # command driver (harness.Driver), streaming to stdout so the summary
+    # must move to stderr and the pipe carries pure JSONL.
+    banner "report: minimd -stream -events - | obsreport"
+    go run ./cmd/minimd -ranks 4 -size 50 -steps 12 -interval 3 \
+        -fail -stream -events - | go run ./cmd/obsreport -json > "$tmp/md-report.json"
+    grep -q '"failures_repaired": 1' "$tmp/md-report.json"
+    grep -q '"failures_unrepaired": 0' "$tmp/md-report.json"
 }
 
 run_sweep() {
