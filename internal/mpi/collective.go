@@ -58,6 +58,10 @@ type slot struct {
 	clock     float64 // arrival time (memberArrived)
 	stamp     float64 // death time (memberDead) or departure stamp (memberDeparted)
 	congested bool
+	// lateProbe defers the member's congestion probe to completion: its
+	// node is shared, so the probe waits until every member has arrived
+	// (see lateCongestedLocked).
+	lateProbe bool
 	bytes     int
 	pl        payload
 }
@@ -94,6 +98,7 @@ type rendezvous struct {
 	maxDeadAt   float64 // latest death stamp among dead members
 	departStamp float64 // latest departure stamp among departed members
 	congested   bool
+	nLateProbe  int // arrived members whose congestion probe is deferred
 	maxBytes    int
 
 	// refs counts arrived members that have not yet released the op back
@@ -220,6 +225,9 @@ func (w *World) tryCompleteFlatLocked(r *rendezvous) {
 			bytes = s.bytes
 		}
 	}
+	if !congested {
+		congested = w.lateCongestedLocked(r)
+	}
 	cost := w.machine.CollectiveTime(len(alive), bytes)
 	if congested {
 		// The whole rendezvous is slowed by one congested member; credit
@@ -239,6 +247,26 @@ func (w *World) tryCompleteFlatLocked(r *rendezvous) {
 	}
 	delete(w.colls, r.key)
 	r.finishLocked(w, end)
+}
+
+// lateCongestedLocked runs the congestion probes deferred from arrival
+// (slot.lateProbe), in comm rank order, and reports whether any of those
+// members' nodes had a flush in flight at its arrival time. By now every
+// member has arrived, so each member's flushes submitted before its
+// arrival are queued on its node whatever the wall-clock interleaving.
+// Caller holds world.mu; the node lock nests inside it and the
+// scheduler's callbacks only touch observability.
+func (w *World) lateCongestedLocked(r *rendezvous) bool {
+	if r.nLateProbe == 0 {
+		return false
+	}
+	for cr := range r.slots {
+		s := &r.slots[cr]
+		if s.state == memberArrived && s.lateProbe && w.procs[r.comm.group[cr]].node.CongestedAt(s.clock) {
+			return true
+		}
+	}
+	return false
 }
 
 // collective runs one rendezvous for the calling process and returns the
@@ -293,7 +321,13 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 	start := p.clock.Now()
 	// Probed before taking the world lock: the congestion query may advance
 	// the node's flush scheduler, which can fire observability callbacks.
-	congested := p.node.CongestedAt(start)
+	// A process alone on its node is the only submitter of the node's
+	// flushes, so its own program order has already queued everything
+	// virtually earlier. On a shared node a co-resident rank may still be
+	// behind in wall-clock time with a virtually-earlier flush to submit;
+	// that probe waits for completion, when every member has arrived.
+	late := p.sharedNode
+	congested := !late && p.node.CongestedAt(start)
 
 	w := c.world
 	w.mu.Lock()
@@ -321,11 +355,14 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 	}
 	r.refs.Add(1)
 	if w.engine == EngineTree {
-		w.accountArrivalLocked(r, commRank, start, congested, pl, bytes)
+		w.accountArrivalLocked(r, commRank, start, congested, late, pl, bytes)
 	} else {
 		s := &r.slots[commRank]
-		s.state, s.clock, s.congested, s.pl, s.bytes = memberArrived, start, congested, pl, bytes
+		s.state, s.clock, s.congested, s.lateProbe, s.pl, s.bytes = memberArrived, start, congested, late, pl, bytes
 		r.nArrived++
+		if late {
+			r.nLateProbe++
+		}
 		w.tryCompleteFlatLocked(r)
 	}
 	// Pool mode: if this arrival did not complete the op, register as a

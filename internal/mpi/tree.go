@@ -125,7 +125,7 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 	r.refs.Store(0)
 	r.nArrived, r.nDead, r.nDeparted = 0, 0, 0
 	r.maxClock, r.maxDeadAt, r.departStamp = 0, 0, 0
-	r.congested, r.maxBytes = false, 0
+	r.congested, r.nLateProbe, r.maxBytes = false, 0, 0
 	r.completed, r.err, r.syncTime = false, nil, 0
 	r.deadAtEnd = r.deadAtEnd[:0]
 	r.result = nil
@@ -194,17 +194,20 @@ func (w *World) seedTerminalLocked(r *rendezvous) {
 
 // accountArrivalLocked records comm rank cr's arrival and propagates it up
 // the tree. Caller holds world.mu.
-func (w *World) accountArrivalLocked(r *rendezvous, cr int, clock float64, congested bool, pl payload, bytes int) {
+func (w *World) accountArrivalLocked(r *rendezvous, cr int, clock float64, congested, late bool, pl payload, bytes int) {
 	s := &r.slots[cr]
 	if s.state != memberPending {
 		return
 	}
-	s.state, s.clock, s.congested, s.pl, s.bytes = memberArrived, clock, congested, pl, bytes
+	s.state, s.clock, s.congested, s.lateProbe, s.pl, s.bytes = memberArrived, clock, congested, late, pl, bytes
 	r.nArrived++
 	if clock > r.maxClock {
 		r.maxClock = clock
 	}
 	r.congested = r.congested || congested
+	if late {
+		r.nLateProbe++
+	}
 	if bytes > r.maxBytes {
 		r.maxBytes = bytes
 	}
@@ -285,7 +288,7 @@ func (w *World) completeTreeLocked(r *rendezvous) {
 		}
 	}
 	cost := w.machine.CollectiveTime(alive, r.maxBytes)
-	if r.congested {
+	if r.congested || w.lateCongestedLocked(r) {
 		// The whole rendezvous is slowed by one congested member; credit
 		// the inflation to the MPI-visible flush wait counter.
 		w.obs.Registry().Counter(obs.MFlushWaitSeconds).Add(cost * (w.machine.CongestionFactor - 1))
