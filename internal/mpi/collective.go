@@ -54,16 +54,11 @@ type payload struct {
 // or departing rank), which anchors every outcome in that rank's own
 // program order and virtual clock.
 type slot struct {
-	state     memberState
-	clock     float64 // arrival time (memberArrived)
-	stamp     float64 // death time (memberDead) or departure stamp (memberDeparted)
-	congested bool
-	// lateProbe defers the member's congestion probe to completion: its
-	// node is shared, so the probe waits until every member has arrived
-	// (see lateCongestedLocked).
-	lateProbe bool
-	bytes     int
-	pl        payload
+	state memberState
+	clock float64 // arrival time (memberArrived)
+	stamp float64 // death time (memberDead) or departure stamp (memberDeparted)
+	bytes int
+	pl    payload
 }
 
 // rendezvous synchronizes one collective. Members register terminal states
@@ -90,15 +85,14 @@ type rendezvous struct {
 	treeLeft []int32
 
 	// Aggregate scalars maintained incrementally as terminal events land,
-	// so completion needs no full-group scan in the failure-free case.
+	// so the tree engine's completion scans the group only for the
+	// congestion probe (congestedLocked) and to list dead members.
 	nArrived    int
 	nDead       int
 	nDeparted   int
 	maxClock    float64 // latest arrival clock
 	maxDeadAt   float64 // latest death stamp among dead members
 	departStamp float64 // latest departure stamp among departed members
-	congested   bool
-	nLateProbe  int // arrived members whose congestion probe is deferred
 	maxBytes    int
 
 	// refs counts arrived members that have not yet released the op back
@@ -211,7 +205,7 @@ func (w *World) tryCompleteFlatLocked(r *rendezvous) {
 	} else if hasDeparted {
 		r.err = ErrRevoked
 	}
-	maxClock, congested, bytes := 0.0, false, 0
+	maxClock, bytes := 0.0, 0
 	for i := range r.slots {
 		s := &r.slots[i]
 		if s.state != memberArrived {
@@ -220,16 +214,12 @@ func (w *World) tryCompleteFlatLocked(r *rendezvous) {
 		if s.clock > maxClock {
 			maxClock = s.clock
 		}
-		congested = congested || s.congested
 		if s.bytes > bytes {
 			bytes = s.bytes
 		}
 	}
-	if !congested {
-		congested = w.lateCongestedLocked(r)
-	}
 	cost := w.machine.CollectiveTime(len(alive), bytes)
-	if congested {
+	if w.congestedLocked(r) {
 		// The whole rendezvous is slowed by one congested member; credit
 		// the inflation to the MPI-visible flush wait counter.
 		w.obs.Registry().Counter(obs.MFlushWaitSeconds).Add(cost * (w.machine.CongestionFactor - 1))
@@ -249,24 +239,24 @@ func (w *World) tryCompleteFlatLocked(r *rendezvous) {
 	r.finishLocked(w, end)
 }
 
-// lateCongestedLocked runs the congestion probes deferred from arrival
-// (slot.lateProbe), in comm rank order, and reports whether any of those
-// members' nodes had a flush in flight at its arrival time. By now every
-// member has arrived, so each member's flushes submitted before its
-// arrival are queued on its node whatever the wall-clock interleaving.
-// Caller holds world.mu; the node lock nests inside it and the
-// scheduler's callbacks only touch observability.
-func (w *World) lateCongestedLocked(r *rendezvous) bool {
-	if r.nLateProbe == 0 {
-		return false
-	}
+// congestedLocked reports whether any arrived member's node had a flush
+// in flight at that member's arrival time. It probes at completion, not
+// at arrival: by now every member has arrived, so every flush a node-mate
+// submitted before its own arrival is queued on the shared node whatever
+// the wall-clock interleaving. Every member is probed, in comm rank order,
+// so each node's flush scheduler is advanced to each of its members'
+// arrival clocks as the arrival-time probe did. Caller holds world.mu; the
+// node lock nests inside it and the scheduler's callbacks only touch
+// observability.
+func (w *World) congestedLocked(r *rendezvous) bool {
+	congested := false
 	for cr := range r.slots {
 		s := &r.slots[cr]
-		if s.state == memberArrived && s.lateProbe && w.procs[r.comm.group[cr]].node.CongestedAt(s.clock) {
-			return true
+		if s.state == memberArrived && w.procs[r.comm.group[cr]].node.CongestedAt(s.clock) {
+			congested = true
 		}
 	}
-	return false
+	return congested
 }
 
 // collective runs one rendezvous for the calling process and returns the
@@ -319,15 +309,6 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 	seq := p.nextSeq(seqSpace)
 	key := collKey{comm: seqSpace, seq: seq}
 	start := p.clock.Now()
-	// Probed before taking the world lock: the congestion query may advance
-	// the node's flush scheduler, which can fire observability callbacks.
-	// A process alone on its node is the only submitter of the node's
-	// flushes, so its own program order has already queued everything
-	// virtually earlier. On a shared node a co-resident rank may still be
-	// behind in wall-clock time with a virtually-earlier flush to submit;
-	// that probe waits for completion, when every member has arrived.
-	late := p.sharedNode
-	congested := !late && p.node.CongestedAt(start)
 
 	w := c.world
 	w.mu.Lock()
@@ -355,14 +336,11 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 	}
 	r.refs.Add(1)
 	if w.engine == EngineTree {
-		w.accountArrivalLocked(r, commRank, start, congested, late, pl, bytes)
+		w.accountArrivalLocked(r, commRank, start, pl, bytes)
 	} else {
 		s := &r.slots[commRank]
-		s.state, s.clock, s.congested, s.lateProbe, s.pl, s.bytes = memberArrived, start, congested, late, pl, bytes
+		s.state, s.clock, s.pl, s.bytes = memberArrived, start, pl, bytes
 		r.nArrived++
-		if late {
-			r.nLateProbe++
-		}
 		w.tryCompleteFlatLocked(r)
 	}
 	// Pool mode: if this arrival did not complete the op, register as a

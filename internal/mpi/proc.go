@@ -21,12 +21,6 @@ type Proc struct {
 	rec   *trace.Recorder
 	rng   *sim.RNG
 
-	// sharedNode marks a process whose node hosts other ranks of the
-	// world. Its collective congestion probe is deferred to completion
-	// (see collectiveLog): at arrival, a co-resident rank may not yet have
-	// submitted a virtually-earlier flush.
-	sharedNode bool
-
 	mail    mailbox
 	collSeq map[int64]int64
 	exited  bool

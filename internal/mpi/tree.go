@@ -125,7 +125,7 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 	r.refs.Store(0)
 	r.nArrived, r.nDead, r.nDeparted = 0, 0, 0
 	r.maxClock, r.maxDeadAt, r.departStamp = 0, 0, 0
-	r.congested, r.nLateProbe, r.maxBytes = false, 0, 0
+	r.maxBytes = 0
 	r.completed, r.err, r.syncTime = false, nil, 0
 	r.deadAtEnd = r.deadAtEnd[:0]
 	r.result = nil
@@ -194,19 +194,15 @@ func (w *World) seedTerminalLocked(r *rendezvous) {
 
 // accountArrivalLocked records comm rank cr's arrival and propagates it up
 // the tree. Caller holds world.mu.
-func (w *World) accountArrivalLocked(r *rendezvous, cr int, clock float64, congested, late bool, pl payload, bytes int) {
+func (w *World) accountArrivalLocked(r *rendezvous, cr int, clock float64, pl payload, bytes int) {
 	s := &r.slots[cr]
 	if s.state != memberPending {
 		return
 	}
-	s.state, s.clock, s.congested, s.lateProbe, s.pl, s.bytes = memberArrived, clock, congested, late, pl, bytes
+	s.state, s.clock, s.pl, s.bytes = memberArrived, clock, pl, bytes
 	r.nArrived++
 	if clock > r.maxClock {
 		r.maxClock = clock
-	}
-	r.congested = r.congested || congested
-	if late {
-		r.nLateProbe++
 	}
 	if bytes > r.maxBytes {
 		r.maxBytes = bytes
@@ -266,8 +262,9 @@ func (w *World) propagateLocked(r *rendezvous, cr int) {
 
 // completeTreeLocked publishes the rendezvous outcome from the aggregate
 // scalars maintained during accounting. It runs exactly once per op (when
-// the tree root empties) and is O(1) in the failure-free case — the O(P)
-// slot scan only runs to list dead members. Caller holds world.mu.
+// the tree root empties). Its O(P) slot scans are the congestion probe
+// (congestedLocked) and, after failures, listing dead members. Caller
+// holds world.mu.
 func (w *World) completeTreeLocked(r *rendezvous) {
 	if r.completed {
 		return
@@ -288,7 +285,7 @@ func (w *World) completeTreeLocked(r *rendezvous) {
 		}
 	}
 	cost := w.machine.CollectiveTime(alive, r.maxBytes)
-	if r.congested || w.lateCongestedLocked(r) {
+	if w.congestedLocked(r) {
 		// The whole rendezvous is slowed by one congested member; credit
 		// the inflation to the MPI-visible flush wait counter.
 		w.obs.Registry().Counter(obs.MFlushWaitSeconds).Add(cost * (w.machine.CongestionFactor - 1))

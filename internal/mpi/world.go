@@ -103,10 +103,6 @@ func NewWorld(cl *cluster.Cluster, ranks, ranksPerNode int, abortOnFailure bool,
 		node := cl.Node((i / ranksPerNode) % cl.Size())
 		w.procs[i] = newProc(w, i, node, root.Split(uint64(i)), startTime)
 	}
-	for i, p := range w.procs {
-		p.sharedNode = (i > 0 && w.procs[i-1].node == p.node) ||
-			(i+1 < ranks && w.procs[i+1].node == p.node)
-	}
 	w.commWorld = w.newCommLocked(identityGroup(ranks))
 	return w
 }
