@@ -205,12 +205,12 @@ type runtime struct {
 	mu        sync.Mutex
 	comm      *mpi.Comm // current resilient communicator
 	gen       int
-	spares    []int               // world ranks not yet activated
-	slots     []int               // logical rank -> world rank
-	waiters   map[int]chan sparse // blocked spares by world rank
-	finalized map[int]bool        // world ranks done with the body
-	repairs   map[int]*repair     // generation -> in-progress repair
-	imr       map[int]*imrSlot    // logical rank -> IMR storage
+	spares    []int            // world ranks not yet activated
+	slots     []int            // logical rank -> world rank
+	waiters   map[int]*sparse  // parked spares by world rank
+	finalized map[int]bool     // world ranks done with the body
+	repairs   map[int]*repair  // generation -> in-progress repair
+	imr       map[int]*imrSlot // logical rank -> IMR storage
 	imrKeep   int
 }
 
@@ -233,12 +233,13 @@ func (rt *runtime) jobDoneLocked() bool {
 	return true
 }
 
-// releaseSparesLocked unblocks all waiting spares with an inactive result
+// releaseSparesLocked wakes all parked spares with an inactive result
 // carrying err (nil for a clean job completion). Caller holds rt.mu.
 func (rt *runtime) releaseSparesLocked(err error) {
-	for wr, ch := range rt.waiters {
+	for wr, sw := range rt.waiters {
 		delete(rt.waiters, wr)
-		ch <- sparse{err: err}
+		sw.err = err
+		sw.p.Wake()
 	}
 }
 
@@ -258,10 +259,12 @@ func (rt *runtime) memberDiedUnfinalizedLocked() bool {
 	return false
 }
 
-// sparse is the activation message delivered to a blocked spare. The spare
-// applies syncTime/repairCost to its own clock (the completing survivor
-// must not touch another goroutine's clock).
+// sparse is a parked spare's registration and the activation result its
+// waker fills in before waking it. The spare applies syncTime/repairCost
+// to its own clock (the completing survivor must not touch another
+// goroutine's clock).
 type sparse struct {
+	p          *mpi.Proc
 	ctx        *Context
 	err        error
 	syncTime   float64
@@ -272,7 +275,8 @@ type sparse struct {
 type repair struct {
 	gen      int
 	arrivals map[int]float64 // world rank -> arrival clock
-	done     chan struct{}
+	waiters  []*mpi.Proc     // survivors parked until the repair completes
+	done     bool
 
 	newComm  *mpi.Comm
 	newSlots []int
@@ -292,7 +296,7 @@ func runtimeFor(w *mpi.World, cfg Config) (*runtime, error) {
 	rt := &runtime{
 		world:     w,
 		cfg:       cfg,
-		waiters:   make(map[int]chan sparse),
+		waiters:   make(map[int]*sparse),
 		finalized: make(map[int]bool),
 		repairs:   make(map[int]*repair),
 		imr:       make(map[int]*imrSlot),
@@ -391,8 +395,8 @@ func (rt *runtime) initRank(p *mpi.Proc) (*Context, bool, error) {
 		rt.mu.Unlock()
 		return nil, false, nil
 	}
-	ch := make(chan sparse, 1)
-	rt.waiters[p.Rank()] = ch
+	act := &sparse{p: p}
+	rt.waiters[p.Rank()] = act
 	// A pending repair may have been waiting for this spare to register.
 	for _, r := range rt.repairs {
 		rt.tryCompleteRepairLocked(r)
@@ -401,12 +405,9 @@ func (rt *runtime) initRank(p *mpi.Proc) (*Context, bool, error) {
 	p.ChargeTime(trace.ResilienceInit, initCost+p.Machine().CollectiveTime(rt.world.Size(), 8))
 	p.Event(obs.LayerFenix, obs.EvFenixInit, obs.KV("role", "spare"), obs.KV("spares", rt.cfg.Spares))
 
-	// The spare blocks outside the MPI core, so under pool execution it
-	// must hand its execution slot back while it waits for activation (or
-	// job completion) and reacquire one afterwards.
-	p.BlockBegin()
-	act := <-ch
-	p.BlockEnd()
+	// Park until a repair activates this spare or the job releases it;
+	// the waker fills in act before waking.
+	p.Park()
 	if act.ctx == nil {
 		return nil, false, act.err
 	}
@@ -460,19 +461,18 @@ func (rt *runtime) recover(ctx *Context) error {
 	gen := ctx.gen
 	r, ok := rt.repairs[gen]
 	if !ok {
-		r = &repair{gen: gen, arrivals: make(map[int]float64), done: make(chan struct{})}
+		r = &repair{gen: gen, arrivals: make(map[int]float64)}
 		rt.repairs[gen] = r
 	}
 	r.arrivals[p.Rank()] = p.Now()
 	rt.tryCompleteRepairLocked(r)
-	rt.mu.Unlock()
-
-	// The repair rendezvous is a wait on other survivors' progress held
-	// outside the MPI core: release the execution slot across it so a
-	// pool-mode world can funnel every survivor into the rendezvous.
-	p.BlockBegin()
-	<-r.done
-	p.BlockEnd()
+	if r.done {
+		rt.mu.Unlock()
+	} else {
+		r.waiters = append(r.waiters, p)
+		rt.mu.Unlock()
+		p.Park()
+	}
 
 	if r.err != nil {
 		return r.err
@@ -575,12 +575,12 @@ func (rt *runtime) tryCompleteRepairLocked(r *repair) {
 		} else {
 			r.err = ErrOutOfSpares
 			rt.gen++
-			close(r.done)
+			r.finishLocked()
 			// The repairs entry is deliberately KEPT: survivors racing into
-			// recover for this generation must find the failed repair (and
-			// its closed done channel) rather than create a fresh one that
-			// can never complete. Release blocked spares (none remain, but
-			// be thorough) and fail them too.
+			// recover for this generation must find the failed, done repair
+			// rather than create a fresh one that can never complete.
+			// Release blocked spares (none remain, but be thorough) and
+			// fail them too.
 			rt.releaseSparesLocked(ErrOutOfSpares)
 			return
 		}
@@ -644,27 +644,35 @@ func (rt *runtime) tryCompleteRepairLocked(r *repair) {
 	// Activate the substituted spares.
 	for _, slot := range activated {
 		wr := newSlots[slot]
-		ch, ok := rt.waiters[wr]
+		sw, ok := rt.waiters[wr]
 		if !ok {
 			panic(fmt.Sprintf("fenix: spare %d activated but not waiting", wr))
 		}
 		delete(rt.waiters, wr)
-		sp := rt.world.Proc(wr)
-		ch <- sparse{
-			ctx: &Context{
-				p:           sp,
-				rt:          rt,
-				role:        RoleRecovered,
-				comm:        newComm,
-				gen:         rt.gen,
-				logicalRank: slot,
-			},
-			syncTime:   syncTime,
-			repairCost: rt.world.Machine().RepairTime(len(newSlots)),
+		sw.ctx = &Context{
+			p:           sw.p,
+			rt:          rt,
+			role:        RoleRecovered,
+			comm:        newComm,
+			gen:         rt.gen,
+			logicalRank: slot,
 		}
+		sw.syncTime = syncTime
+		sw.repairCost = rt.world.Machine().RepairTime(len(newSlots))
+		sw.p.Wake()
 	}
 
-	close(r.done)
+	r.finishLocked()
+}
+
+// finishLocked marks r done and wakes the survivors parked on it. Caller
+// holds rt.mu.
+func (r *repair) finishLocked() {
+	r.done = true
+	for _, p := range r.waiters {
+		p.Wake()
+	}
+	r.waiters = nil
 }
 
 func containsInt(xs []int, x int) bool {

@@ -65,10 +65,8 @@ func benchThroughput(b *testing.B, ranks int, e Engine, exec ExecMode) {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
-			if w.pool != nil {
-				p.poolEnter()
-				defer p.poolExit()
-			}
+			p.enter()
+			defer w.pool.release()
 			buf := []float64{1, 2}
 			for i := 0; i < b.N; i++ {
 				if _, err := c.AllreduceF64(p, buf, OpSum); err != nil {

@@ -35,10 +35,10 @@ const (
 // payload carries one member's collective contribution into its slot.
 // It is a struct of typed fields rather than an `any`: boxing a slice
 // header into an interface costs one heap allocation per arrival on the
-// hot path ([]float64 reductions, []byte broadcasts), and under ExecPool
-// it would defeat buffer recycling entirely. At most one field family is
-// meaningful per collective kind; a/k pack the scalar contributions
-// (Agree's flag, Split's color and key).
+// hot path ([]float64 reductions, []byte broadcasts), and it would defeat
+// buffer recycling entirely. At most one field family is meaningful per
+// collective kind; a/k pack the scalar contributions (Agree's flag,
+// Split's color and key).
 type payload struct {
 	f64 []float64
 	b   []byte
@@ -64,19 +64,15 @@ type slot struct {
 // rendezvous synchronizes one collective. Members register terminal states
 // under world.mu; the rendezvous completes when every member is accounted
 // for. Completion publishes the synchronized clock time, any error, and
-// the frozen set of dead members, then closes done. The struct is pooled:
-// see acquireOpLocked / release in tree.go.
+// the frozen set of dead members, then wakes the parked members. The
+// struct is pooled: see acquireOpLocked / release in tree.go.
 type rendezvous struct {
 	comm     *Comm
 	tolerant bool // Shrink/Agree: dead members do not poison the result
 	key      collKey
-	// done is the goroutine-mode completion signal; nil under ExecPool,
-	// where completion instead enqueues the waiters list (exec.go) and the
-	// per-op channel allocation disappears entirely.
-	done chan struct{}
-	// waiters holds the pool-mode members parked on this op, registered
-	// under world.mu by the arriving rank itself. finishLocked enqueues
-	// them as continuations.
+	// waiters holds the members parked on this op, registered under
+	// world.mu by the arriving rank itself. The rank whose event completed
+	// the op wakes them (wakeWaiters).
 	waiters []*Proc
 
 	// slots and treeLeft are indexed by comm rank; treeLeft holds the
@@ -124,12 +120,10 @@ func (r *rendezvous) hasMember(worldRank int) bool {
 	return ok
 }
 
-// finishLocked publishes completion. Caller holds world.mu. Under
-// ExecGoroutine it closes the done channel (waking every parked member
-// at once — the herd the pool mode exists to avoid); under ExecPool it
-// enqueues each parked waiter as a continuation on the world's slot
-// scheduler. The channel close / resume send is the happens-before edge
-// that publishes syncTime, err, and the frozen slots to the waiters.
+// finishLocked publishes completion. Caller holds world.mu, and must then
+// wake the op's waiters (wakeWaiters); the resume send is the
+// happens-before edge that publishes syncTime, err, and the frozen slots
+// to them.
 func (r *rendezvous) finishLocked(w *World, syncTime float64) {
 	if r.completed {
 		return
@@ -148,16 +142,19 @@ func (r *rendezvous) finishLocked(w *World, syncTime float64) {
 			obs.KV("kind", "coll"), obs.KV("comm", r.comm.id), obs.KV("bytes", bytes))
 		w.obs.Registry().Counter(obs.MMsgLogged).Inc()
 	}
-	if r.done != nil {
-		close(r.done)
-	}
-	if w.pool != nil {
-		w.pool.wakeAll(r.waiters)
-		for i := range r.waiters {
-			r.waiters[i] = nil
-		}
-		r.waiters = r.waiters[:0]
-	}
+}
+
+// wakeWaiters hands every member parked on the completed op to the rank
+// scheduler. Completion deregistered them under world.mu: the op is out
+// of w.colls, so no other rank can reach the list. A death or departure
+// that completed the op wakes them under world.mu; an arrival that did
+// wakes them right after unlocking, so they do not queue on the lock it
+// still holds, and its own reference keeps the op from being recycled
+// while it walks the list.
+func (r *rendezvous) wakeWaiters(w *World) {
+	w.pool.wakeAll(r.waiters)
+	clear(r.waiters)
+	r.waiters = r.waiters[:0]
 }
 
 // tryCompleteFlatLocked is the flat (legacy) engine: it re-derives the
@@ -343,22 +340,17 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 		r.nArrived++
 		w.tryCompleteFlatLocked(r)
 	}
-	// Pool mode: if this arrival did not complete the op, register as a
-	// continuation under the same critical section as the arrival — the op
-	// cannot complete between the accounting above and the append, so no
-	// wake-up can be lost.
-	parked := false
-	if w.pool != nil && !r.completed {
+	// If this arrival completed the op, wake the waiters. Otherwise register
+	// as one under the same critical section as the arrival — the op cannot
+	// complete between the accounting above and the append, so no wake-up
+	// can be lost.
+	if r.completed {
+		w.mu.Unlock()
+		r.wakeWaiters(w)
+	} else {
 		r.waiters = append(r.waiters, p)
-		parked = true
-	}
-	w.mu.Unlock()
-
-	if w.pool == nil {
-		<-r.done
-	} else if parked {
-		w.pool.release()
-		p.park()
+		w.mu.Unlock()
+		p.Park()
 	}
 
 	p.clock.AdvanceTo(r.syncTime)

@@ -147,6 +147,9 @@ func (c *Comm) departLocked(wr int, stamp float64) {
 		} else {
 			w.tryCompleteFlatLocked(rv)
 		}
+		if rv.completed {
+			rv.wakeWaiters(w)
+		}
 	}
 }
 

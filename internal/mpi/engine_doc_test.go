@@ -33,7 +33,8 @@ func TestEngineDesignDocumented(t *testing.T) {
 		"`ExecPool`",
 		"`ExecGoroutine`",
 		"SetExecMode",
-		"BlockBegin",
+		"`Proc.Park`",
+		"`Proc.Wake`",
 		"TestScale8192HeatdisReplay",
 	} {
 		if !strings.Contains(sect, anchor) {

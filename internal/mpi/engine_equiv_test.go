@@ -166,6 +166,7 @@ func runScenario(t *testing.T, n int, e Engine, exec ExecMode, workers int) engi
 		return nil
 	})
 
+	checkSlotsConserved(t, w, workers)
 	clocks := make([]float64, n)
 	for i := 0; i < n; i++ {
 		clocks[i] = w.Proc(i).Now()

@@ -1,50 +1,42 @@
-// Worker-pool execution mode.
+// Rank scheduler: one way to wait.
 //
-// The simulator's original execution model — one free-running goroutine
-// per rank — is semantically ideal (every rank is literally a thread of
-// control, as in MPI) but costs the host scheduler O(world) pressure: a
-// completed world-sized collective makes every member runnable at once,
-// and past ~1k ranks the run-queue churn, wake-up herds, and per-op
-// allocations dominate ns/rank-step (see PERFORMANCE.md). ExecPool keeps
-// the rank goroutine as the carrier of the rank's stack (Go cannot
-// suspend a stack without its cooperation) but takes scheduling away from
-// the Go runtime: at most K = GOMAXPROCS ranks hold an execution slot at
-// any moment, every blocking point in the simulator parks the rank on its
-// own one-slot resume channel, and wake-ups become *continuation
-// enqueues* — the parked rank is appended to a FIFO ready queue and
-// resumed only when a slot frees up. The effect is an event-loop worker
-// pool in which the "workers" are execution slots and the "continuation"
-// is the rank's own parked goroutine: host cost is bounded by GOMAXPROCS,
-// not world size.
+// Every path that blocks a rank on another rank's progress — a
+// collective rendezvous, a mailbox receive, the Fenix spare wait and
+// repair rendezvous — follows one discipline. The waiter registers itself
+// under the lock that owns the condition it waits for, unlocks, and parks
+// on its own one-slot resume channel (Proc.Park). The waker deregisters
+// the waiter under the same lock and hands it to the world scheduler
+// (Proc.Wake, or wakeAll for a completed collective's waiter list),
+// under that lock or right after releasing it, so that the woken rank
+// does not queue on a lock its waker still holds. Because registration
+// and deregistration share a lock, a wake-up cannot fall between the
+// waiter's last check and its park: either the waker finds it registered,
+// or the waiter sees the new state before registering. Each registration
+// is consumed by exactly one wake, so the one-slot resume channel never
+// blocks a waker.
 //
-// ExecGoroutine is retained unmodified as the executable specification
-// and equivalence oracle for ExecPool, exactly as EngineFlat is for
-// EngineTree: the equivalence tests run both modes over the same programs
-// and require identical transcripts, clocks, and event-stream bytes.
+// The scheduler is the same in both execution modes; only its slot count
+// differs:
 //
-// Blocking discipline. Every path that can block a rank on another
-// rank's progress must, in pool mode, release its slot before parking
-// and reacquire one after:
-//
-//   - Collectives use the continuation path: the arriving rank registers
-//     itself on the rendezvous waiter list under world.mu and parks;
-//     completion enqueues every waiter (no done channel exists in pool
-//     mode, killing both the per-op allocation and the close() herd).
-//   - Mailbox receives yield the slot before the first cond.Wait and
-//     reacquire after the matching message (or giveUp error) is taken.
-//   - Layers above mpi (the Fenix spare wait and repair rendezvous)
-//     bracket their channel waits with Proc.BlockBegin/Proc.BlockEnd,
-//     the exported form of the same discipline.
+//   - ExecGoroutine has unbounded slots: every rank always holds one, a
+//     wake is a direct send on the resume channel, and giving up a slot
+//     costs nothing. Ranks run as free goroutines under the Go scheduler,
+//     as in MPI where every rank is a thread of control.
+//   - ExecPool has K = GOMAXPROCS slots: at most K ranks run at once, a
+//     parking rank hands its slot to the next ready rank, and a wake with
+//     no free slot joins a FIFO ready queue. Host cost is bounded by
+//     GOMAXPROCS, not world size: a completed world-sized collective makes
+//     K ranks runnable, not every member.
 //
 // A rank that holds a slot and only computes (including the kokkos
 // parallel-region helper goroutines, which never touch simulation state)
-// needs no bracketing: it cannot deadlock the pool, only keep its slot
-// busy, which is the pool working as intended.
+// cannot deadlock the pool, only keep its slot busy, which is the pool
+// working as intended.
 //
-// Determinism is unaffected by construction: the pool changes only the
-// wall-clock order in which rank segments execute, and every simulation
-// outcome is a function of virtual clocks and per-rank program order
-// (DESIGN.md §10). The equivalence and replay tests pin this.
+// Determinism is unaffected by construction: the slot count changes only
+// the wall-clock order in which rank segments execute, and every
+// simulation outcome is a function of virtual clocks and per-rank program
+// order (DESIGN.md §10). The exec-equivalence and replay tests pin this.
 package mpi
 
 import (
@@ -57,15 +49,14 @@ import (
 type ExecMode int
 
 const (
-	// ExecGoroutine (the default) runs every rank as a free-running
-	// goroutine under the Go scheduler — the executable specification of
-	// the execution model, retained as the equivalence oracle for
-	// ExecPool.
+	// ExecGoroutine (the default) is the rank scheduler with unbounded
+	// slots: every rank is a free-running goroutine under the Go
+	// scheduler, and a wake-up is a direct send to the parked rank.
 	ExecGoroutine ExecMode = iota
-	// ExecPool multiplexes rank continuations onto GOMAXPROCS execution
-	// slots: at most that many ranks are runnable at once, blocked ranks
-	// cost the host scheduler nothing, and collective wake-ups are FIFO
-	// continuation enqueues instead of channel-close herds.
+	// ExecPool is the rank scheduler with GOMAXPROCS execution slots: at
+	// most that many ranks are runnable at once, blocked ranks cost the
+	// host scheduler nothing, and wake-ups beyond the free slots are FIFO
+	// continuation enqueues.
 	ExecPool
 )
 
@@ -92,20 +83,25 @@ func ParseExecMode(s string) (ExecMode, error) {
 	return ExecGoroutine, fmt.Errorf("mpi: unknown exec mode %q (want goroutine or pool)", s)
 }
 
-// execPool is the slot scheduler for ExecPool. It is deliberately tiny:
-// a count of free slots and a FIFO of parked ranks ready to run. Ranks
-// park by receiving on their own one-slot resume channel; granting a
-// slot is a single non-blocking send. All state is guarded by mu, whose
-// critical sections are a few machine operations — the pool never holds
-// mu across a park or a user callback.
+// execPool is the world's rank scheduler. It is deliberately tiny: a
+// count of free slots and a FIFO of parked ranks ready to run. Granting a
+// slot is a single non-blocking send on the rank's resume channel. With
+// unbounded slots (ExecGoroutine) wake and wakeAll send directly and
+// release does nothing, so the default mode pays no scheduler lock. All
+// bounded state is guarded by mu, a leaf lock whose critical sections are
+// a few machine operations: it is never held across a park or a callback.
 type execPool struct {
-	mu    sync.Mutex
-	slots int // free execution slots
-	ready []*Proc
-	head  int // consume index into ready (amortized O(1) FIFO)
+	unbounded bool // ExecGoroutine: every rank always holds a slot
+	mu        sync.Mutex
+	slots     int // free execution slots
+	ready     []*Proc
+	head      int // consume index into ready (amortized O(1) FIFO)
 }
 
-func newExecPool(workers int) *execPool {
+func newExecPool(m ExecMode, workers int) *execPool {
+	if m != ExecPool {
+		return &execPool{unbounded: true}
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -128,9 +124,14 @@ func (ep *execPool) popLocked() *Proc {
 }
 
 // wake makes p ready to run: it is granted a free slot immediately or
-// joins the FIFO. Safe to call with world.mu or a mailbox lock held (it
-// only takes ep.mu and performs a non-blocking send).
+// joins the FIFO. Safe to call with any simulation lock held (world.mu, a
+// mailbox lock, Fenix's runtime lock): it only takes ep.mu and performs a
+// non-blocking send.
 func (ep *execPool) wake(p *Proc) {
+	if ep.unbounded {
+		p.resume <- struct{}{}
+		return
+	}
 	ep.mu.Lock()
 	if ep.slots > 0 {
 		ep.slots--
@@ -148,14 +149,14 @@ func (ep *execPool) wake(p *Proc) {
 // rank's critical path. Slots go to the front of the batch, the rest
 // join the FIFO in order, all under one lock acquisition.
 func (ep *execPool) wakeAll(ps []*Proc) {
-	ep.mu.Lock()
-	grant := ep.slots
-	if grant > len(ps) {
-		grant = len(ps)
+	grant := len(ps)
+	if !ep.unbounded {
+		ep.mu.Lock()
+		grant = min(ep.slots, len(ps))
+		ep.slots -= grant
+		ep.ready = append(ep.ready, ps[grant:]...)
+		ep.mu.Unlock()
 	}
-	ep.slots -= grant
-	ep.ready = append(ep.ready, ps[grant:]...)
-	ep.mu.Unlock()
 	for _, p := range ps[:grant] {
 		p.resume <- struct{}{}
 	}
@@ -164,6 +165,9 @@ func (ep *execPool) wakeAll(ps []*Proc) {
 // release gives up the caller's slot, handing it to the next ready rank
 // if one is queued. Never blocks.
 func (ep *execPool) release() {
+	if ep.unbounded {
+		return
+	}
 	ep.mu.Lock()
 	if p := ep.popLocked(); p != nil {
 		ep.mu.Unlock()
@@ -174,95 +178,49 @@ func (ep *execPool) release() {
 	ep.mu.Unlock()
 }
 
-// park blocks the calling rank until it is granted a slot. The caller
-// must have been (or concurrently be) registered via wake, or must have
-// arranged for a waker to enqueue it.
-func (p *Proc) park() { <-p.resume }
-
-// poolEnter admits the rank into the pool at launch: it queues for a
-// slot and parks until granted one.
-func (p *Proc) poolEnter() {
-	if ep := p.world.pool; ep != nil {
-		ep.wake(p)
-		p.park()
-	}
+// Park gives up the calling rank's slot and blocks until a waker wakes
+// it and the scheduler grants it a slot again. The caller must first
+// register p, under the lock that owns the condition it waits for, where
+// exactly one waker will find it; between registering and Park the rank
+// must not wait on anything else. Collectives, mailbox receives and the
+// Fenix spare wait and repair rendezvous all block this way.
+func (p *Proc) Park() {
+	p.world.pool.release()
+	<-p.resume
 }
 
-// poolExit releases the rank's slot when its body returns or unwinds.
-func (p *Proc) poolExit() {
-	if ep := p.world.pool; ep != nil {
-		ep.release()
-	}
+// Wake hands a parked (or about to park) rank back to the scheduler. The
+// caller must have deregistered p under the lock p registered under, so
+// that every Park is matched by exactly one Wake. Safe to call with that
+// lock held.
+func (p *Proc) Wake() { p.world.pool.wake(p) }
+
+// enter admits the rank into the scheduler at launch: it queues for a
+// slot and blocks until granted one.
+func (p *Proc) enter() {
+	p.world.pool.wake(p)
+	<-p.resume
 }
 
-// yieldSlot releases the caller's slot ahead of a wait that is not
-// mediated by the pool (a mailbox cond.Wait). It reports whether a slot
-// was actually yielded (false under ExecGoroutine), in which case the
-// caller must reacquire via regainSlot once the wait is over. Safe to
-// call with a mailbox lock held.
-func (p *Proc) yieldSlot() bool {
-	ep := p.world.pool
-	if ep == nil {
-		return false
-	}
-	ep.release()
-	return true
-}
-
-// regainSlot queues the caller for a slot and parks until granted one.
-// Must not be called with any simulation lock held.
-func (p *Proc) regainSlot() {
-	ep := p.world.pool
-	ep.wake(p)
-	p.park()
-}
-
-// BlockBegin releases the calling rank's execution slot before a wait on
-// another rank's progress that is implemented outside the MPI core (the
-// Fenix spare wait and repair rendezvous block on their own channels).
-// It is a no-op under ExecGoroutine. Every BlockBegin must be paired
-// with a BlockEnd after the wait returns; between the two the rank may
-// only wait — running simulation code without a slot would defeat the
-// pool's bounded-runnable invariant.
-func (p *Proc) BlockBegin() {
-	if ep := p.world.pool; ep != nil {
-		ep.release()
-	}
-}
-
-// BlockEnd reacquires an execution slot after a BlockBegin-bracketed
-// wait. It is a no-op under ExecGoroutine.
-func (p *Proc) BlockEnd() {
-	if ep := p.world.pool; ep != nil {
-		ep.wake(p)
-		p.park()
-	}
-}
-
-// bufFree recycles collective payload buffers in pool mode. It is a
-// plain mutex-guarded freelist rather than a sync.Pool because Put-ing a
-// slice into a sync.Pool boxes the slice header into an interface — one
-// heap allocation per recycled buffer, which is exactly the allocation
-// the recycling exists to remove. The mutex is a leaf lock: taken only
-// here, never while holding it. Buffers whose capacity no longer fits
-// are dropped on the floor and collected normally, so the list
-// self-corrects when payload sizes grow.
+// bufFree recycles collective payload buffers. It is a plain
+// mutex-guarded freelist rather than a sync.Pool because Put-ing a slice
+// into a sync.Pool boxes the slice header into an interface — one heap
+// allocation per recycled buffer, which is exactly the allocation the
+// recycling exists to remove. The mutex is a leaf lock: taken only here,
+// never while holding it. Buffers whose capacity no longer fits are
+// dropped on the floor and collected normally, so the list self-corrects
+// when payload sizes grow.
 type bufFree struct {
 	mu  sync.Mutex
 	f64 [][]float64
 	b   [][]byte
 }
 
-// payloadF64 takes a recycled float64 payload buffer of length n. Pool
-// mode only: the buffer is recycled by releaseOp once the op's last
-// reference drops, which is safe because payload slices are only read
-// while the rendezvous is live. Under ExecGoroutine the buffer is
-// freshly allocated, preserving the specification mode's allocation
-// behaviour unchanged.
+// payloadF64 takes a recycled float64 payload buffer of length n. The
+// buffer is recycled by releaseOp once the op's last reference drops,
+// which is safe because payload slices are only read while the
+// rendezvous is live.
 func (w *World) payloadF64(n int) []float64 {
-	if w.pool == nil {
-		return make([]float64, n)
-	}
 	w.bufs.mu.Lock()
 	if k := len(w.bufs.f64); k > 0 {
 		buf := w.bufs.f64[k-1]
@@ -280,9 +238,6 @@ func (w *World) payloadF64(n int) []float64 {
 
 // payloadB is payloadF64 for byte payloads.
 func (w *World) payloadB(n int) []byte {
-	if w.pool == nil {
-		return make([]byte, n)
-	}
 	w.bufs.mu.Lock()
 	if k := len(w.bufs.b); k > 0 {
 		buf := w.bufs.b[k-1]
@@ -299,12 +254,12 @@ func (w *World) payloadB(n int) []byte {
 }
 
 // recyclePayload returns a slot's recyclable buffers (the typed f64/byte
-// contributions taken via payloadF64/payloadB) to the freelist. No-op
-// outside pool mode. The per-destination [][]byte contributions
-// (Scatter/Alltoall) are not recycled: they are off the steady-state hot
-// path and their jagged shapes defeat a simple freelist.
+// contributions taken via payloadF64/payloadB) to the freelist. The
+// per-destination [][]byte contributions (Scatter/Alltoall) are not
+// recycled: they are off the steady-state hot path and their jagged
+// shapes defeat a simple freelist.
 func (w *World) recyclePayload(pl *payload) {
-	if w.pool == nil || (pl.f64 == nil && pl.b == nil) {
+	if pl.f64 == nil && pl.b == nil {
 		return
 	}
 	w.bufs.mu.Lock()

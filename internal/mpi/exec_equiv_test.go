@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,6 +19,38 @@ import (
 // wall-clock interleaving of rank segments, never a virtual outcome
 // (DESIGN.md §10). These tests reuse the mixed collective scenario from
 // the engine equivalence suite and add the pool dimension.
+
+// checkSlotsConserved asserts that a finished job left the rank scheduler
+// as it found it: no rank is still registered as a mailbox waiter or
+// holds an unconsumed wake-up on its resume channel and, under ExecPool,
+// all K slots are free and the ready queue is empty. A double wake or a
+// missed release shows up here and nowhere else: the virtual outcome of
+// the job it leaked from is unaffected. workers is the job's
+// SetExecModeWorkers count (<= 0: GOMAXPROCS).
+func checkSlotsConserved(t *testing.T, w *World, workers int) {
+	t.Helper()
+	for _, p := range w.procs {
+		p.mail.mu.Lock()
+		registered := p.mail.waiter != nil
+		p.mail.mu.Unlock()
+		if registered || len(p.resume) != 0 {
+			t.Errorf("rank %d after the job: registered as waiter %v, unconsumed wake-ups %d", p.rank, registered, len(p.resume))
+		}
+	}
+	ep := w.pool
+	if ep.unbounded {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ep.mu.Lock()
+	free, queued := ep.slots, len(ep.ready)-ep.head
+	ep.mu.Unlock()
+	if free != workers || queued != 0 {
+		t.Errorf("scheduler after the job: %d of %d slots free, %d ranks still ready", free, workers, queued)
+	}
+}
 
 // testExecEquivalence compares ExecGoroutine against ExecPool (at the
 // default slot count and at a deliberately starved one, which maximizes
@@ -119,6 +152,7 @@ func TestExecPoolRecorderOrder(t *testing.T) {
 		}
 		return nil
 	})
+	checkSlotsConserved(t, w, 2)
 	evs := rec.Events()
 	for i := 1; i < len(evs); i++ {
 		a, b := evs[i-1], evs[i]
@@ -206,6 +240,7 @@ func TestExecPoolFlushSchedule(t *testing.T) {
 				t.Fatalf("exec=%v workers=%d rank %d: %v", exec, workers, r, err)
 			}
 		}
+		checkSlotsConserved(t, w, workers)
 		tr := flushTrace{transcripts: transcripts, windows: windows, clocks: make([]float64, ranks)}
 		for i := 0; i < ranks; i++ {
 			tr.clocks[i] = w.Proc(i).Now()
@@ -306,5 +341,53 @@ func TestExecPoolP2P(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
+	}
+	checkSlotsConserved(t, w, 1)
+}
+
+// TestExecPoolSlotsConserved runs point-to-point waits through their
+// failure wake-ups at K = 1 and 2 slots: a ring exchange, then a rank
+// dies while its successor is parked receiving from it (woken by
+// markDead), the survivors revoke (woken by departure), shrink, and
+// reduce. Every job must leave the scheduler with all K slots free, an
+// empty ready queue and no registered waiter.
+func TestExecPoolSlotsConserved(t *testing.T) {
+	const n = 8
+	for _, workers := range []int{1, 2} {
+		w := testWorld(n)
+		w.SetExecModeWorkers(ExecPool, workers)
+		errs := runWorld(w, func(p *Proc) error {
+			c := w.CommWorld()
+			me := c.Rank(p)
+			next, prev := (me+1)%n, (me+n-1)%n
+			for i := 0; i < 4; i++ {
+				if _, err := c.Sendrecv(p, next, i, []byte{byte(me)}, prev, i); err != nil {
+					return err
+				}
+			}
+			if me == 3 {
+				p.Exit()
+			}
+			if me == 4 {
+				if _, err := c.Recv(p, 3, 99); !IsULFMError(err) {
+					return fmt.Errorf("receive from the dead rank returned %v", err)
+				}
+				c.Revoke(p)
+			} else if _, err := c.Recv(p, next, 100); !IsULFMError(err) {
+				return fmt.Errorf("rank %d: receive on the revoked comm returned %v", me, err)
+			}
+			shrunk, err := c.Shrink(p)
+			if err != nil {
+				return err
+			}
+			_, err = shrunk.AllreduceF64(p, []float64{1}, OpSum)
+			return err
+		})
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d rank %d: %v", workers, r, err)
+			}
+		}
+		checkSlotsConserved(t, w, workers)
 	}
 }

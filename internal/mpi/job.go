@@ -64,9 +64,9 @@ type JobConfig struct {
 	// legacy reference kept for equivalence testing.
 	Engine Engine
 	// Exec selects the execution scheduling mode (see exec.go). The zero
-	// value, ExecGoroutine, runs one free goroutine per rank (the
-	// executable spec); ExecPool multiplexes rank continuations onto
-	// GOMAXPROCS execution slots for O(10k)-rank worlds.
+	// value, ExecGoroutine, gives the rank scheduler unbounded slots (one
+	// free goroutine per rank); ExecPool bounds it to GOMAXPROCS
+	// execution slots for O(10k)-rank worlds.
 	Exec ExecMode
 	// MsgLog enables the sender-based message log (msglog.go) on every
 	// launch's world, the capture side of localized recovery. The process
@@ -256,14 +256,12 @@ func runRanks(w *World, f RankFunc) []rankOutcome {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
-			if w.pool != nil {
-				// Admission: queue for an execution slot before running the
-				// body; the slot is released when the body returns or
-				// unwinds — after the recover handler below, so failure
-				// accounting (markDead) still runs slot-held.
-				p.poolEnter()
-				defer p.poolExit()
-			}
+			// Admission: queue for an execution slot before running the
+			// body; the slot is released when the body returns or unwinds
+			// — after the recover handler below, so failure accounting
+			// (markDead) still runs slot-held.
+			p.enter()
+			defer w.pool.release()
 			defer func() {
 				r := recover()
 				if r == nil {

@@ -30,24 +30,21 @@ type msgQueue struct {
 }
 
 // mailbox is a process's incoming message store. Senders enqueue without
-// blocking (eager protocol); receivers block on the condition variable
-// until a matching message arrives, the sender dies, or the communicator
-// is revoked.
+// blocking (eager protocol). Only the owning rank receives, so at most one
+// receiver waits at a time: it registers itself as waiter, with the key
+// it awaits, and parks until a matching message arrives, the sender dies,
+// or the communicator is revoked.
 //
 // Queue blocks are pooled: a queue drained by receive is reset and parked
 // on a freelist for the next burst on any key, so steady-state
 // point-to-point traffic (for example the per-step halo exchanges of a
 // Cartesian stencil) does not allocate a fresh slice per message.
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    map[msgKey]*msgQueue
-	free []*msgQueue
-}
-
-func (m *mailbox) init() {
-	m.cond = sync.NewCond(&m.mu)
-	m.q = make(map[msgKey]*msgQueue)
+	mu     sync.Mutex
+	q      map[msgKey]*msgQueue
+	free   []*msgQueue
+	waiter *Proc  // the parked receiver, or nil
+	want   msgKey // the key waiter awaits
 }
 
 // getQueueLocked returns the queue for key, reusing a drained block from
@@ -68,49 +65,51 @@ func (m *mailbox) getQueueLocked(key msgKey) *msgQueue {
 	return q
 }
 
-// deliver enqueues a message and wakes any blocked receivers.
+// deliver enqueues a message and wakes the receiver if it awaits key.
 func (m *mailbox) deliver(key msgKey, msg message) {
 	m.mu.Lock()
 	q := m.getQueueLocked(key)
 	q.msgs = append(q.msgs, msg)
-	m.mu.Unlock()
-	m.cond.Broadcast()
+	m.wakeUnlock(m.want == key)
 }
 
-// wakeAll wakes all blocked receivers so they re-check failure/revocation
-// state. The broadcast happens under m.mu: a receiver evaluates giveUp and
-// enters cond.Wait without releasing m.mu in between, so holding it here
-// guarantees the receiver either sees the new state in giveUp or is
-// already waiting when the broadcast fires. Callers must not hold
-// world.mu (receivers take it inside giveUp while holding m.mu).
+// wakeAll wakes the receiver, whatever key it awaits, so it re-checks
+// failure/revocation state. State changes that could make its giveUp
+// fire (markDead, Revoke, depart) publish their state first and then call
+// wakeAll. Callers must not hold world.mu (receivers take it inside
+// giveUp while holding m.mu).
 func (m *mailbox) wakeAll() {
 	m.mu.Lock()
-	m.cond.Broadcast()
+	m.wakeUnlock(true)
+}
+
+// wakeUnlock deregisters the waiter, if any and if match, releases m.mu,
+// and then wakes it: deregistering under the lock is what makes the wake
+// exactly-once, and waking after the unlock keeps the woken receiver from
+// contending for the lock its waker still holds. Caller holds m.mu.
+func (m *mailbox) wakeUnlock(match bool) {
+	p := m.waiter
+	if p == nil || !match {
+		m.mu.Unlock()
+		return
+	}
+	m.waiter = nil
 	m.mu.Unlock()
+	p.Wake()
 }
 
 // receive blocks until a message matching key is available or giveUp
-// returns a non-nil error (sender died, communicator revoked). giveUp is
-// evaluated while holding the mailbox lock; state changes that could make
-// it fire (markDead, Revoke, depart) publish their state first and then
-// call wakeAll, which broadcasts under the same lock, so a receiver
-// between giveUp and cond.Wait cannot miss the wake-up.
-//
-// p is the receiving process: under ExecPool the receiver yields its
-// execution slot before the first cond.Wait — a rank blocked on a
-// message must not pin one of the GOMAXPROCS slots, or a world of
-// blocked receivers would starve the senders they wait on — and
-// reacquires a slot after the wait resolves. The post-broadcast re-check
-// of the queue runs without a slot; it is a bounded map probe, not
-// simulation progress.
+// returns a non-nil error (sender died, communicator revoked). The queue
+// and giveUp are checked under m.mu, and the receiver registers as waiter
+// under the same lock before it parks, so a deliver or wakeAll that lands
+// after the checks finds it registered and cannot be lost. p is the
+// receiving process, the mailbox's owner; parking gives up its execution
+// slot, and it re-checks holding one.
 func (m *mailbox) receive(p *Proc, key msgKey, giveUp func() error) (message, error) {
-	m.mu.Lock()
-	yielded := false
-	var msg message
-	var err error
 	for {
+		m.mu.Lock()
 		if q, ok := m.q[key]; ok && q.head < len(q.msgs) {
-			msg = q.msgs[q.head]
+			msg := q.msgs[q.head]
 			q.msgs[q.head] = message{} // drop the payload reference
 			q.head++
 			if q.head == len(q.msgs) {
@@ -118,21 +117,17 @@ func (m *mailbox) receive(p *Proc, key msgKey, giveUp func() error) (message, er
 				delete(m.q, key)
 				m.free = append(m.free, q)
 			}
-			break
+			m.mu.Unlock()
+			return msg, nil
 		}
-		if err = giveUp(); err != nil {
-			break
+		if err := giveUp(); err != nil {
+			m.mu.Unlock()
+			return message{}, err
 		}
-		if !yielded {
-			yielded = p.yieldSlot()
-		}
-		m.cond.Wait()
+		m.waiter, m.want = p, key
+		m.mu.Unlock()
+		p.Park()
 	}
-	m.mu.Unlock()
-	if yielded {
-		p.regainSlot()
-	}
-	return msg, err
 }
 
 // dropThrough removes queued messages for key whose log sequence number is

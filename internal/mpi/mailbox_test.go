@@ -8,42 +8,106 @@ import (
 	"time"
 )
 
-// TestWakeAllNotLostBeforeWait races a failure notification into the gap
-// between a receiver's giveUp check and its cond.Wait: the first giveUp
-// call starts a goroutine that marks the sender dead and calls wakeAll,
-// then lingers before returning nil. The receiver must still observe the
-// death instead of waiting forever.
+// TestWakeAllNotLostBeforeWait races each mailbox waker into the window
+// between a receiver's waiter registration and its park: the receiver's
+// first giveUp check (the real one, taken under the mailbox lock) starts
+// the waker and lingers, so the waker publishes its state after the check
+// and then blocks on the mailbox lock until the receiver has registered
+// and unlocked. The receiver must still observe the wake-up instead of
+// parking forever, in both execution modes; under a one-slot pool the
+// slot must be back in the scheduler afterwards. A deliver for a key the
+// receiver does not await must leave it parked, not re-checking, until its
+// own key arrives.
 func TestWakeAllNotLostBeforeWait(t *testing.T) {
-	var m mailbox
-	m.init()
-	p := testWorld(2).Proc(0)
-	errDead := errors.New("sender dead")
-	var dead atomic.Bool
-	var once sync.Once
-	giveUp := func() error {
-		if dead.Load() {
-			return errDead
-		}
-		once.Do(func() {
-			go func() {
-				dead.Store(true)
-				m.wakeAll()
-			}()
-			time.Sleep(20 * time.Millisecond)
-		})
-		return nil
+	const tag = 5
+	gotDelivery := func(msg message, err error) bool {
+		return err == nil && len(msg.data) == 1 && msg.data[0] == 42
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.receive(p, msgKey{src: 1}, giveUp)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, errDead) {
-			t.Fatalf("receive returned %v, want %v", err, errDead)
+	wakers := []struct {
+		name    string
+		wake    func(w *World, key msgKey)
+		want    func(msg message, err error) bool
+		foreign bool // wake delivers another key; the test then delivers key
+	}{
+		{"deliver", func(w *World, key msgKey) {
+			w.Proc(0).mail.deliver(key, message{data: []byte{42}, seq: -1})
+		}, gotDelivery, false},
+		{"markDead", func(w *World, _ msgKey) {
+			w.markDead(1)
+		}, func(_ message, err error) bool {
+			var fe *FailedError
+			return errors.As(err, &fe)
+		}, false},
+		{"revoke", func(w *World, _ msgKey) {
+			w.CommWorld().Revoke(w.Proc(1))
+		}, func(_ message, err error) bool {
+			return errors.Is(err, ErrRevoked)
+		}, false},
+		{"deliverOtherKey", func(w *World, key msgKey) {
+			other := key
+			other.tag++
+			w.Proc(0).mail.deliver(other, message{data: []byte{7}, seq: -1})
+		}, gotDelivery, true},
+	}
+	for _, exec := range []struct {
+		name    string
+		mode    ExecMode
+		workers int
+	}{{"goroutine", ExecGoroutine, 0}, {"pool1", ExecPool, 1}} {
+		for _, wk := range wakers {
+			t.Run(exec.name+"/"+wk.name, func(t *testing.T) {
+				w := testWorld(2)
+				w.SetExecModeWorkers(exec.mode, exec.workers)
+				c := w.CommWorld()
+				p := w.Proc(0)
+				key := msgKey{comm: c.id, src: 1, tag: tag}
+				var once sync.Once
+				var checks atomic.Int32
+				giveUp := func() error {
+					checks.Add(1)
+					err, _ := c.recvGiveUp(1)
+					once.Do(func() {
+						go wk.wake(w, key)
+						time.Sleep(20 * time.Millisecond)
+					})
+					return err
+				}
+				type result struct {
+					msg message
+					err error
+				}
+				done := make(chan result, 1)
+				go func() {
+					p.enter()
+					msg, err := p.mail.receive(p, key, giveUp)
+					w.pool.release()
+					done <- result{msg, err}
+				}()
+				if wk.foreign {
+					// The foreign key must not release the receiver.
+					select {
+					case r := <-done:
+						t.Fatalf("receive returned (%v, %v) on a deliver for another key", r.msg.data, r.err)
+					case <-time.After(100 * time.Millisecond):
+					}
+					p.mail.mu.Lock()
+					waiting := p.mail.waiter == p
+					p.mail.mu.Unlock()
+					if !waiting || checks.Load() != 1 {
+						t.Fatalf("a deliver for another key woke the receiver (registered=%v, giveUp checks=%d)", waiting, checks.Load())
+					}
+					w.Proc(0).mail.deliver(key, message{data: []byte{42}, seq: -1})
+				}
+				select {
+				case r := <-done:
+					if !wk.want(r.msg, r.err) {
+						t.Fatalf("receive returned (%v, %v)", r.msg.data, r.err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("receive missed a wake-up issued between its waiter registration and its park")
+				}
+				checkSlotsConserved(t, w, exec.workers)
+			})
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("receive missed a wakeAll issued between its giveUp check and cond.Wait")
 	}
 }

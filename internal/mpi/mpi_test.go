@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -537,6 +538,7 @@ func TestRevokePoisonsPendingAndFutureOps(t *testing.T) {
 func TestShrinkExcludesDeadRanks(t *testing.T) {
 	w := testWorld(4)
 	c := w.CommWorld()
+	var mu sync.Mutex
 	var shrunk *Comm
 	runWorld(w, func(p *Proc) error {
 		if p.Rank() == 1 {
@@ -550,7 +552,9 @@ func TestShrinkExcludesDeadRanks(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		mu.Lock()
 		shrunk = s
+		mu.Unlock()
 		// Survivors: world ranks 0,2,3 densely ranked.
 		if s.Size() != 3 {
 			t.Errorf("shrunk size = %d", s.Size())

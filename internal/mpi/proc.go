@@ -25,10 +25,9 @@ type Proc struct {
 	collSeq map[int64]int64
 	exited  bool
 
-	// resume is the rank's park/wake channel under ExecPool (see exec.go):
-	// the rank parks by receiving, the pool grants an execution slot with a
-	// single buffered send. Nil under ExecGoroutine; allocated by
-	// SetExecMode before ranks start.
+	// resume is the rank's park/wake channel (see exec.go): the rank
+	// parks by receiving, the scheduler grants it an execution slot with a
+	// single buffered send.
 	resume chan struct{}
 
 	// obsDead tracks which failed world ranks this process has observed
@@ -59,8 +58,9 @@ func newProc(w *World, rank int, node *cluster.Node, rng *sim.RNG, startTime flo
 		rec:     trace.NewRecorder(),
 		rng:     rng,
 		collSeq: make(map[int64]int64),
+		mail:    mailbox{q: make(map[msgKey]*msgQueue)},
+		resume:  make(chan struct{}, 1),
 	}
-	p.mail.init()
 	return p
 }
 

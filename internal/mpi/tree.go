@@ -20,8 +20,8 @@
 // across collectives (sync.Pool with a reference count: one reference per
 // arrived member, released after the member extracts its results), so the
 // steady-state allocation cost of a collective does not grow with the
-// number of collectives already run. The done channel is the only per-op
-// allocation: a closed channel cannot be reused.
+// number of collectives already run: a steady-state collective allocates
+// no op state at all.
 //
 // Determinism: every slot is written under world.mu from the terminal
 // event's own goroutine — an arrival from the arriving rank, a death from
@@ -115,12 +115,6 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 	}
 	copy(r.treeLeft, c.treeInit())
 	r.comm, r.tolerant, r.key = c, tolerant, key
-	if w.pool == nil {
-		// The done channel is goroutine mode's one unavoidable per-op
-		// allocation (a closed channel cannot be reused). Pool mode
-		// completes through the waiters list instead and skips it.
-		r.done = make(chan struct{})
-	}
 	r.waiters = r.waiters[:0]
 	r.refs.Store(0)
 	r.nArrived, r.nDead, r.nDeparted = 0, 0, 0
@@ -137,14 +131,13 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 // releaseOp clears payload references and returns the rendezvous to the
 // pool. Called by the last member to release its reference; at that point
 // no goroutine can reach r (completion removed it from w.colls before
-// closing done).
+// waking the waiters).
 func (w *World) releaseOp(r *rendezvous) {
 	for i := range r.slots {
 		w.recyclePayload(&r.slots[i].pl)
 		r.slots[i] = slot{}
 	}
 	r.comm = nil
-	r.done = nil
 	r.err = nil
 	r.result = nil
 	r.reduceErr = nil
@@ -154,8 +147,8 @@ func (w *World) releaseOp(r *rendezvous) {
 // release drops one member's reference to the rendezvous; the last release
 // returns the op state to the pool. Each arrived member must call it
 // exactly once, after extracting everything it needs. References are taken
-// under world.mu at registration; by the time any member can release (done
-// is closed), no further references are taken, so the atomic decrement
+// under world.mu at registration; by the time any member can release (the
+// op completed), no further references are taken, so the atomic decrement
 // alone decides the last reader.
 func (r *rendezvous) release(w *World) {
 	if r.replayed {

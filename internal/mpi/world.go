@@ -43,14 +43,13 @@ type World struct {
 	// engine selects the collective rendezvous algorithm (see tree.go).
 	// The zero value is EngineTree; set via SetEngine before ranks start.
 	engine Engine
-	// pool, when non-nil, is the ExecPool slot scheduler (see exec.go);
-	// nil selects ExecGoroutine. Set via SetExecMode before ranks start.
+	// pool is the rank scheduler every blocked rank parks on (see
+	// exec.go): unbounded slots under ExecGoroutine, K under ExecPool.
+	// Replaced via SetExecMode before ranks start.
 	pool *execPool
 	// opPool recycles rendezvous state across collectives (tree.go).
 	opPool sync.Pool
-	// bufs recycles collective payload buffers under ExecPool (see
-	// exec.go); unused in goroutine mode, which keeps the specification
-	// mode's allocation behaviour untouched.
+	// bufs recycles collective payload buffers (see exec.go).
 	bufs bufFree
 	// msglog, when non-nil, is the sender-based message log backing
 	// localized recovery (msglog.go). Set via EnableMsgLog before ranks
@@ -96,6 +95,7 @@ func NewWorld(cl *cluster.Cluster, ranks, ranksPerNode int, abortOnFailure bool,
 		dead:           make([]bool, ranks),
 		deadAt:         make([]float64, ranks),
 		colls:          make(map[collKey]*rendezvous),
+		pool:           newExecPool(ExecGoroutine, 0),
 	}
 	root := sim.NewRNG(seed)
 	w.procs = make([]*Proc, ranks)
@@ -139,24 +139,7 @@ func (w *World) SetExecMode(m ExecMode) { w.SetExecModeWorkers(m, 0) }
 // SetExecModeWorkers is SetExecMode with an explicit execution-slot
 // count (workers <= 0 selects GOMAXPROCS).
 func (w *World) SetExecModeWorkers(m ExecMode, workers int) {
-	if m != ExecPool {
-		w.pool = nil
-		return
-	}
-	w.pool = newExecPool(workers)
-	for _, p := range w.procs {
-		if p.resume == nil {
-			p.resume = make(chan struct{}, 1)
-		}
-	}
-}
-
-// ExecutionMode returns the world's execution scheduling mode.
-func (w *World) ExecutionMode() ExecMode {
-	if w.pool != nil {
-		return ExecPool
-	}
-	return ExecGoroutine
+	w.pool = newExecPool(m, workers)
 }
 
 // Obs returns the world's observability recorder (possibly nil).
@@ -306,6 +289,9 @@ func (w *World) markDead(r int) {
 			w.accountDeadLocked(rv, rv.comm.index[r], w.deadAt[r])
 		} else {
 			w.tryCompleteFlatLocked(rv)
+		}
+		if rv.completed {
+			rv.wakeWaiters(w)
 		}
 	}
 	hooks := make([]func(int), len(w.hooks))

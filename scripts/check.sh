@@ -11,6 +11,10 @@
 #             CHAOS_NIGHTLY-gated O(10k) scale cells. Run explicitly
 #             (`scripts/check.sh nightly`) or from the nightly CI job;
 #             never part of the default list.
+#   stress:   the scheduler stress tier — the wake-up, slot-conservation
+#             and exec-equivalence tests repeated at GOMAXPROCS 1, 2, 4
+#             and 8. Run explicitly or from the nightly CI job; never
+#             part of the default list.
 #
 # Environment:
 #   CHAOS_SEEDS  number of campaign seeds to sweep (default 36; CI's
@@ -66,6 +70,19 @@ run_nightly() {
     # reserve under ExecPool, replay ledger byte-identical across replays).
     banner "nightly: O(10k) scale cells (CHAOS_NIGHTLY=1)"
     CHAOS_NIGHTLY=1 go test -run 'TestScale' -count=1 -timeout 55m ./internal/chaos/
+}
+
+run_stress() {
+    # Every blocked rank parks on the one rank scheduler; a lost or
+    # doubled wake-up there is an interleaving that shows up rarely, and
+    # differently at each core count. Repeat the tests that would see it
+    # (lost wake-ups, K-slot conservation, goroutine/pool equivalence and
+    # seeded replay) across GOMAXPROCS values.
+    for procs in 1 2 4 8; do
+        banner "stress: GOMAXPROCS=$procs, -count=20"
+        GOMAXPROCS=$procs go test -count=20 -run 'Equiv|Wake|Conserv' ./internal/mpi/
+        GOMAXPROCS=$procs go test -count=20 -run 'ExecModeEquivalence|SeedReplayIsByteStable' ./internal/chaos/
+    done
 }
 
 run_race() {
@@ -287,8 +304,9 @@ for s in $sections; do
     chaos)    run_chaos ;;
     sdc)      run_sdc ;;
     nightly)  run_nightly ;;
+    stress)   run_stress ;;
     *)
-        echo "unknown section: $s (want build|lint|race|bench|perf|report|sweep|chaos|sdc|nightly)" >&2
+        echo "unknown section: $s (want build|lint|race|bench|perf|report|sweep|chaos|sdc|nightly|stress)" >&2
         exit 2
         ;;
     esac
