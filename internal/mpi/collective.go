@@ -76,13 +76,13 @@ type rendezvous struct {
 	waiters []*Proc
 
 	// slots and treeLeft are indexed by comm rank; treeLeft holds the
-	// binomial tree's per-node pending counters (tree engine only).
+	// binomial tree's per-node pending counters.
 	slots    []slot
 	treeLeft []int32
 
 	// Aggregate scalars maintained incrementally as terminal events land,
-	// so the tree engine's completion scans the group only for the
-	// congestion probe (congestedLocked) and to list dead members.
+	// so completion scans the group only for the congestion probe
+	// (congestedLocked) and to list dead members.
 	nArrived    int
 	nDead       int
 	nDeparted   int
@@ -155,85 +155,6 @@ func (r *rendezvous) wakeWaiters(w *World) {
 	w.pool.wakeAll(r.waiters)
 	clear(r.waiters)
 	r.waiters = r.waiters[:0]
-}
-
-// tryCompleteFlatLocked is the flat (legacy) engine: it re-derives the
-// full classification — alive, dead, departed — from world state with an
-// O(P) scan on every terminal event, completing the rendezvous once every
-// member is accounted for: arrived, dead, or — for regular (non-tolerant)
-// collectives — departed from the communicator. Tolerant collectives
-// (Shrink/Agree) ignore departures: a member that abandoned the comm after
-// an error still participates in the recovery-side agreement, as in ULFM.
-// Caller holds world.mu.
-func (w *World) tryCompleteFlatLocked(r *rendezvous) {
-	if r.completed {
-		return
-	}
-	var alive, dead []int
-	for _, wr := range r.comm.group {
-		if w.dead[wr] {
-			dead = append(dead, wr)
-		} else {
-			alive = append(alive, wr)
-		}
-	}
-	if len(alive) == 0 {
-		return
-	}
-	departStamp, hasDeparted := 0.0, false
-	for _, wr := range alive {
-		if r.slots[r.comm.index[wr]].state == memberArrived {
-			continue
-		}
-		if !r.tolerant {
-			if t, ok := r.comm.departed[wr]; ok {
-				hasDeparted = true
-				if t > departStamp {
-					departStamp = t
-				}
-				continue
-			}
-		}
-		return
-	}
-	r.deadAtEnd = append(r.deadAtEnd[:0], dead...)
-	if !r.tolerant && len(dead) > 0 {
-		r.err = newFailedError(dead)
-	} else if hasDeparted {
-		r.err = ErrRevoked
-	}
-	maxClock, bytes := 0.0, 0
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.state != memberArrived {
-			continue
-		}
-		if s.clock > maxClock {
-			maxClock = s.clock
-		}
-		if s.bytes > bytes {
-			bytes = s.bytes
-		}
-	}
-	cost := w.machine.CollectiveTime(len(alive), bytes)
-	if w.congestedLocked(r) {
-		// The whole rendezvous is slowed by one congested member; credit
-		// the inflation to the MPI-visible flush wait counter.
-		w.obs.Registry().Counter(obs.MFlushWaitSeconds).Add(cost * (w.machine.CongestionFactor - 1))
-		cost *= w.machine.CongestionFactor
-	}
-	end := maxClock + cost
-	if len(dead) > 0 {
-		// Failures only become observable after the detector fires.
-		if floor := w.detectionFloorLocked(dead); floor > end {
-			end = floor
-		}
-	}
-	if hasDeparted && departStamp > end {
-		end = departStamp
-	}
-	delete(w.colls, r.key)
-	r.finishLocked(w, end)
 }
 
 // congestedLocked reports whether any arrived member's node had a flush
@@ -323,23 +244,14 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 		r = w.acquireOpLocked(c, tolerant, key)
 		r.loggable = l != nil
 		w.colls[key] = r
-		if w.engine == EngineTree {
-			w.seedTerminalLocked(r)
-		}
+		w.seedTerminalLocked(r)
 	}
 	if r.tolerant != tolerant {
 		w.mu.Unlock()
 		panic(fmt.Sprintf("mpi: mismatched collective kinds on comm %d seq %d", c.id, seq))
 	}
 	r.refs.Add(1)
-	if w.engine == EngineTree {
-		w.accountArrivalLocked(r, commRank, start, pl, bytes)
-	} else {
-		s := &r.slots[commRank]
-		s.state, s.clock, s.pl, s.bytes = memberArrived, start, pl, bytes
-		r.nArrived++
-		w.tryCompleteFlatLocked(r)
-	}
+	w.accountArrivalLocked(r, commRank, start, pl, bytes)
 	// If this arrival completed the op, wake the waiters. Otherwise register
 	// as one under the same critical section as the arrival — the op cannot
 	// complete between the accounting above and the append, so no wake-up
@@ -479,8 +391,8 @@ func (op ReduceOp) apply(acc, v float64) float64 {
 
 // reduceShared computes the element-wise reduction over the rendezvous'
 // arrived payloads exactly once and returns a fresh copy per caller.
-// Reduction is in comm rank order regardless of engine or arrival order,
-// so results are bitwise reproducible; memoization turns P members' O(P·n)
+// Reduction is in comm rank order regardless of arrival order, so
+// results are bitwise reproducible; memoization turns P members' O(P·n)
 // passes into one.
 func (c *Comm) reduceShared(r *rendezvous, op ReduceOp, n int) ([]float64, error) {
 	w := c.world

@@ -135,18 +135,12 @@ func (c *Comm) departLocked(wr int, stamp float64) {
 	c.departed[wr] = stamp
 	w := c.world
 	for _, rv := range w.colls {
-		if rv.comm != c {
+		// Tolerant ops (Shrink/Agree) ignore departures: the departed
+		// member still arrives on the recovery path.
+		if rv.comm != c || rv.tolerant {
 			continue
 		}
-		if w.engine == EngineTree {
-			// Tolerant ops (Shrink/Agree) ignore departures: the departed
-			// member still arrives on the recovery path.
-			if !rv.tolerant {
-				w.accountDepartedLocked(rv, c.index[wr], stamp)
-			}
-		} else {
-			w.tryCompleteFlatLocked(rv)
-		}
+		w.accountDepartedLocked(rv, c.index[wr], stamp)
 		if rv.completed {
 			rv.wakeWaiters(w)
 		}

@@ -8,8 +8,8 @@ import (
 
 // TestEngineDesignDocumented cross-checks the engine against DESIGN.md §10
 // ("Simulator engine"), the way the obs taxonomy is cross-checked against
-// OBSERVABILITY.md: the section must exist and must document the engine
-// names, the execution modes and their blocking discipline, the
+// OBSERVABILITY.md: the section must exist and must document the golden
+// files that specify the engine, the execution modes and their blocking discipline, the
 // throughput gate, and the determinism contract's total event order. This
 // keeps the architecture document from silently drifting away from the
 // code it describes.
@@ -24,8 +24,7 @@ func TestEngineDesignDocumented(t *testing.T) {
 	}
 	sect := text[strings.Index(text, "## 10. Simulator engine"):]
 	for _, anchor := range []string{
-		"`EngineTree`",
-		"`EngineFlat`",
+		"`internal/mpi/testdata/engine_scenario_{8,64}.golden`",
 		"`BenchmarkSimThroughput`",
 		"(time, rank, seq)",
 		"`sync.Pool`",

@@ -18,7 +18,7 @@ import (
 // mid-program rank failures — the worker pool may only change the
 // wall-clock interleaving of rank segments, never a virtual outcome
 // (DESIGN.md §10). These tests reuse the mixed collective scenario from
-// the engine equivalence suite and add the pool dimension.
+// engine_equiv_test.go and add the pool dimension.
 
 // checkSlotsConserved asserts that a finished job left the rank scheduler
 // as it found it: no rank is still registered as a mailbox waiter or
@@ -57,13 +57,13 @@ func checkSlotsConserved(t *testing.T, w *World, workers int) {
 // multiplexing and would deadlock on any blocking path that fails to
 // yield its slot).
 func testExecEquivalence(t *testing.T, n int) {
-	spec := runScenario(t, n, EngineTree, ExecGoroutine, 0)
+	spec := runScenario(t, n, ExecGoroutine, 0)
 	for _, workers := range []int{0, 1, 2} {
 		name := "default"
 		if workers > 0 {
 			name = fmt.Sprintf("%d", workers)
 		}
-		pool := runScenario(t, n, EngineTree, ExecPool, workers)
+		pool := runScenario(t, n, ExecPool, workers)
 		for r := 0; r < n; r++ {
 			if got, want := pool.transcripts[r], spec.transcripts[r]; !equalStrings(got, want) {
 				t.Errorf("workers=%s rank %d transcripts differ:\npool:      %v\ngoroutine: %v", name, r, got, want)
@@ -88,8 +88,8 @@ func TestExecEquivalence1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank equivalence skipped in -short")
 	}
-	spec := runScenario(t, 1024, EngineTree, ExecGoroutine, 0)
-	pool := runScenario(t, 1024, EngineTree, ExecPool, 0)
+	spec := runScenario(t, 1024, ExecGoroutine, 0)
+	pool := runScenario(t, 1024, ExecPool, 0)
 	for r := 0; r < 1024; r++ {
 		if got, want := pool.transcripts[r], spec.transcripts[r]; !equalStrings(got, want) {
 			t.Fatalf("rank %d transcripts differ:\npool:      %v\ngoroutine: %v", r, got, want)
@@ -108,8 +108,8 @@ func TestExecEquivalence1024(t *testing.T) {
 // handoffs and the recycled payload buffers must not leak wall-clock
 // scheduling into the virtual outcome.
 func TestExecPoolReplay(t *testing.T) {
-	a := runScenario(t, 64, EngineTree, ExecPool, 0)
-	b := runScenario(t, 64, EngineTree, ExecPool, 3)
+	a := runScenario(t, 64, ExecPool, 0)
+	b := runScenario(t, 64, ExecPool, 3)
 	if !bytes.Equal(a.events, b.events) {
 		t.Fatal("pool event streams differ across replays (different slot counts) of the same scenario")
 	}
@@ -121,12 +121,12 @@ func TestExecPoolReplay(t *testing.T) {
 // sort deterministic holds regardless of how rank segments interleave on
 // the host — and must match goroutine mode byte-for-byte.
 func TestExecPoolEventOrder(t *testing.T) {
-	trace := runScenario(t, 32, EngineTree, ExecPool, 2)
+	trace := runScenario(t, 32, ExecPool, 2)
 	lines := bytes.Split(bytes.TrimSpace(trace.events), []byte("\n"))
 	if len(lines) < 32 {
 		t.Fatalf("suspiciously small event stream: %d lines", len(lines))
 	}
-	spec := runScenario(t, 32, EngineTree, ExecGoroutine, 0)
+	spec := runScenario(t, 32, ExecGoroutine, 0)
 	if !bytes.Equal(trace.events, spec.events) {
 		t.Fatal("pool-mode event stream diverges from the goroutine-mode (time, rank, seq) order")
 	}

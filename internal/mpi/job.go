@@ -59,10 +59,6 @@ type JobConfig struct {
 	// start-immediately behaviour; a positive Window bounds in-flight
 	// flushes per node, with optional coalescing of superseded versions.
 	Flush cluster.FlushPolicy
-	// Engine selects the collective rendezvous engine (see tree.go). The
-	// zero value, EngineTree, is the production engine; EngineFlat is the
-	// legacy reference kept for equivalence testing.
-	Engine Engine
 	// Exec selects the execution scheduling mode (see exec.go). The zero
 	// value, ExecGoroutine, gives the rank scheduler unbounded slots (one
 	// free goroutine per rank); ExecPool bounds it to GOMAXPROCS
@@ -170,7 +166,6 @@ func RunJob(cfg JobConfig, f RankFunc) *JobResult {
 		w := NewWorld(cl, cfg.Ranks, cfg.RanksPerNode, cfg.FailRestart, cfg.Seed+uint64(attempt)*1e9, start)
 		w.SetObs(cfg.Obs)
 		w.SetInjector(cfg.Inject)
-		w.SetEngine(cfg.Engine)
 		w.SetExecMode(cfg.Exec)
 		if cfg.MsgLog {
 			w.EnableMsgLog()

@@ -164,7 +164,7 @@ func (p *Proc) Exited() bool { return p.exited }
 // the given dead world ranks: peers cannot act on a failure before the
 // detector (heartbeat timeout) reports it.
 func (p *Proc) waitForDetection(ranks []int) {
-	p.clock.AdvanceTo(p.world.detectionFloor(ranks))
+	p.clock.AdvanceTo(p.world.DetectionFloor(ranks))
 }
 
 // congestionFactor returns the MPI cost multiplier in effect right now for

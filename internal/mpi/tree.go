@@ -3,18 +3,17 @@
 // A collective rendezvous must decide, for every member of the
 // communicator, how that member is accounted for — arrived, dead, or (for
 // regular collectives) departed — and complete once every member has a
-// terminal state. The flat engine re-derives that classification with an
-// O(P) scan of the whole group on every arrival, so a world-sized
-// collective costs O(P²) work under the world lock. The tree engine
-// instead records each member's first terminal event in a per-op slot and
-// propagates *completion* up a binomial tree over comm ranks: each tree
-// node holds a counter of unaccounted members in its subtree, a member's
-// terminal event decrements the counters on its root path until one stays
-// positive, and a subtree that empties sends exactly one completion edge
-// to its parent. Total accounting work per collective is O(P) counter
-// decrements + O(P) tree edges (each edge fires once), with an O(log P)
-// worst-case walk per event — the execution-model analogue of the
-// log-P collective topology the cost model already charges for.
+// terminal state. The engine records each member's first terminal event
+// in a per-op slot and propagates *completion* up a binomial tree over
+// comm ranks: each tree node holds a counter of unaccounted members in its
+// subtree, a member's terminal event decrements the counters on its root
+// path until one stays positive, and a subtree that empties sends exactly
+// one completion edge to its parent. Total accounting work per collective
+// is O(P) counter decrements + O(P) tree edges (each edge fires once),
+// with an O(log P) worst-case walk per event — the execution-model
+// analogue of the log-P collective topology the cost model already
+// charges for. No event rescans the group, so a world-sized collective
+// never costs O(P²) work under the world lock.
 //
 // Op state (slots, counters, aggregate scalars) is pooled and reused
 // across collectives (sync.Pool with a reference count: one reference per
@@ -31,28 +30,12 @@
 // wall-clock order in which unrelated goroutines observed it. The first
 // terminal event per member wins; in particular a member that departs a
 // communicator and later dies is accounted as departed, by its own program
-// order (the flat engine classifies that corner by whichever event the
-// completing scan happened to observe first — the tree engine is the more
-// deterministic of the two).
+// order. testdata/engine_scenario_{8,64}.golden pins the resulting
+// transcripts, clocks and event streams (engine_equiv_test.go).
 package mpi
 
 import (
 	"repro/internal/obs"
-)
-
-// Engine selects the collective rendezvous algorithm for a World.
-type Engine int
-
-const (
-	// EngineTree (the default) accounts collective arrivals over a binomial
-	// tree with pooled per-operation state: O(P log P) work per world-sized
-	// collective. See the package comment in tree.go.
-	EngineTree Engine = iota
-	// EngineFlat is the legacy reference engine: every terminal event
-	// re-scans the whole group under the world lock (O(P²) per collective).
-	// It is retained for the tree/flat equivalence tests and as the
-	// executable specification of the rendezvous semantics.
-	EngineFlat
 )
 
 // treeParent returns the binomial-tree parent of comm rank r: r with its
@@ -77,14 +60,9 @@ func treeChildCount(r, p int) int {
 	return n
 }
 
-// treeInit returns the initial per-node pending counters for a binomial
-// tree over the comm's group: 1 (the node's own member) plus one per direct
-// child subtree. The slice is computed once per communicator and must not
-// be mutated by callers.
-func (c *Comm) treeInit() []int32 {
-	return c.treeLeft0
-}
-
+// buildTreeInit returns the initial per-node pending counters for a
+// binomial tree over p ranks: 1 (the node's own member) plus one per
+// direct child subtree.
 func buildTreeInit(p int) []int32 {
 	init := make([]int32, p)
 	for r := 0; r < p; r++ {
@@ -113,7 +91,7 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 			r.slots[i] = slot{}
 		}
 	}
-	copy(r.treeLeft, c.treeInit())
+	copy(r.treeLeft, c.treeLeft0)
 	r.comm, r.tolerant, r.key = c, tolerant, key
 	r.waiters = r.waiters[:0]
 	r.refs.Store(0)

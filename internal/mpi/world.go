@@ -40,9 +40,6 @@ type World struct {
 	// injector, when non-nil, is consulted at named execution points (see
 	// inject.go). Set once before ranks start; read-only afterwards.
 	injector Injector
-	// engine selects the collective rendezvous algorithm (see tree.go).
-	// The zero value is EngineTree; set via SetEngine before ranks start.
-	engine Engine
 	// pool is the rank scheduler every blocked rank parks on (see
 	// exec.go): unbounded slots under ExecGoroutine, K under ExecPool.
 	// Replaced via SetExecMode before ranks start.
@@ -119,15 +116,6 @@ func identityGroup(n int) []int {
 // rank goroutine starts (RunJob does this); a nil recorder disables
 // recording.
 func (w *World) SetObs(r *obs.Recorder) { w.obs = r }
-
-// SetEngine selects the collective rendezvous engine. It must be called
-// before any rank goroutine starts; the zero value (EngineTree) is the
-// default. EngineFlat is the legacy reference implementation kept for
-// equivalence testing.
-func (w *World) SetEngine(e Engine) { w.engine = e }
-
-// CollectiveEngine returns the world's collective engine.
-func (w *World) CollectiveEngine() Engine { return w.engine }
 
 // SetExecMode selects the execution scheduling mode (see exec.go). It
 // must be called before any rank goroutine starts; the zero value
@@ -235,22 +223,15 @@ func (w *World) AliveCount() int {
 	return len(w.procs) - w.nDead
 }
 
-// detectionFloor returns the earliest virtual time at which the failure of
-// the given world ranks is observable: death time plus the machine's
-// failure-detection latency (heartbeat timeout).
-func (w *World) detectionFloor(ranks []int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.detectionFloorLocked(ranks)
-}
-
 // DetectionFloor returns the earliest virtual time at which the failures of
 // the given world ranks are observable (death time plus detection latency;
 // ranks still alive contribute nothing). The process resilience layer uses
 // it to stamp repairs: a rebuild that disposed of a failure cannot complete
 // before that failure was detectable.
 func (w *World) DetectionFloor(ranks []int) float64 {
-	return w.detectionFloor(ranks)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.detectionFloorLocked(ranks)
 }
 
 func (w *World) detectionFloorLocked(ranks []int) float64 {
@@ -285,11 +266,7 @@ func (w *World) markDead(r int) {
 		if !rv.hasMember(r) {
 			continue
 		}
-		if w.engine == EngineTree {
-			w.accountDeadLocked(rv, rv.comm.index[r], w.deadAt[r])
-		} else {
-			w.tryCompleteFlatLocked(rv)
-		}
+		w.accountDeadLocked(rv, rv.comm.index[r], w.deadAt[r])
 		if rv.completed {
 			rv.wakeWaiters(w)
 		}
@@ -303,16 +280,4 @@ func (w *World) markDead(r int) {
 	for _, h := range hooks {
 		h(r)
 	}
-}
-
-// deadMembersLocked returns the subset of group that has failed. Caller
-// holds w.mu.
-func (w *World) deadMembersLocked(group []int) []int {
-	var out []int
-	for _, r := range group {
-		if w.dead[r] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
