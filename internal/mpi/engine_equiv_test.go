@@ -20,8 +20,10 @@ var update = flag.Bool("update", false, "rewrite testdata/engine_scenario_*.gold
 // Collective-engine golden transcripts. The rendezvous semantics are
 // pinned by testdata/engine_scenario_{8,64}.golden: the per-rank results,
 // the errors, the exact final virtual clocks and the complete
-// observability event stream of one mixed collective program — every
-// collective family, a Split, a mid-run failure, a Shrink, and an Agree.
+// observability event stream of one collective program built from the
+// operations the stack calls — Barrier, AllreduceF64 and AllreduceInt on
+// the world communicator and on NewComm sub-communicators, a mid-run
+// failure, a Revoke, and a final allreduce on a survivors' communicator.
 // The engine must reproduce them byte for byte for any failure-free
 // program and for mid-program rank failures.
 
@@ -32,10 +34,12 @@ type engineTrace struct {
 	events      []byte     // obs JSONL stream, (time, rank, seq)-ordered
 }
 
-// runScenario executes the mixed collective program on a fresh world of n
+// runScenario executes the collective program on a fresh world of n
 // ranks under the given execution mode; workers <= 0 selects the default
 // pool size. Rank n-1 exits mid-program; the survivors observe the
-// failure, shrink, and continue on the shrunk communicator.
+// failure, one of them revokes a survivors' communicator under the
+// others' collective, and all of them finish on a second survivors'
+// communicator — the way Fenix substitutes its repaired communicator.
 func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 	t.Helper()
 	cl := cluster.New(n, quietMachine())
@@ -45,6 +49,17 @@ func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 	rec.SetRingCapacity(1 << 20)
 	w.SetObs(rec)
 
+	// Communicators are built up front by World.NewComm, as Fenix builds
+	// its resilient communicator: the even and odd world ranks, then two
+	// communicators of the survivors of rank n-1's exit.
+	var parity [2][]int
+	for r := 0; r < n; r++ {
+		parity[r%2] = append(parity[r%2], r)
+	}
+	subs := [2]*Comm{w.NewComm(parity[0]), w.NewComm(parity[1])}
+	survivors := identityGroup(n - 1)
+	revoked, final := w.NewComm(survivors), w.NewComm(survivors)
+
 	transcripts := make([][]string, n)
 	var mu sync.Mutex
 	note := func(p *Proc, format string, args ...any) {
@@ -53,7 +68,7 @@ func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 		mu.Unlock()
 	}
 
-	runWorld(w, func(p *Proc) error {
+	errs := runWorld(w, func(p *Proc) error {
 		c := w.CommWorld()
 		me := c.Rank(p)
 
@@ -68,102 +83,63 @@ func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 		}
 		note(p, "allreduce %v t=%.9f", sum, p.Now())
 
-		var seed []byte
-		if me == 0 {
-			seed = bytes.Repeat([]byte{7}, 64)
-		}
-		got, err := c.Bcast(p, 0, seed)
+		hi, err := c.AllreduceInt(p, 3*me%n, OpMax)
 		if err != nil {
 			return err
 		}
-		note(p, "bcast len=%d sum=%d t=%.9f", len(got), sumBytes(got), p.Now())
+		note(p, "allreduce int %d t=%.9f", hi, p.Now())
 
-		all, err := c.AllgatherB(p, []byte{byte(me), byte(me + 1)})
+		sub := subs[me%2]
+		lo, err := sub.AllreduceF64(p, []float64{float64(me + 1), float64(-me)}, OpMin)
 		if err != nil {
 			return err
 		}
-		note(p, "allgather %d t=%.9f", sumNested(all), p.Now())
-
-		gathered, err := c.GatherB(p, 1, []byte{byte(me * 3)})
+		if err := sub.Barrier(p); err != nil {
+			return err
+		}
+		cnt, err := sub.AllreduceInt(p, 1, OpSum)
 		if err != nil {
 			return err
 		}
-		note(p, "gather %d t=%.9f", sumNested(gathered), p.Now())
-
-		var chunks [][]byte
-		if me == 1 {
-			chunks = make([][]byte, c.Size())
-			for i := range chunks {
-				chunks[i] = []byte{byte(i), byte(i + 1)}
-			}
-		}
-		chunk, err := c.ScatterB(p, 1, chunks)
-		if err != nil {
-			return err
-		}
-		note(p, "scatter %v t=%.9f", chunk, p.Now())
-
-		out := make([][]byte, c.Size())
-		for i := range out {
-			out[i] = []byte{byte(me), byte(i)}
-		}
-		exch, err := c.AlltoallB(p, out)
-		if err != nil {
-			return err
-		}
-		note(p, "alltoall %d t=%.9f", sumNested(exch), p.Now())
-
-		rs := make([]float64, c.Size())
-		for i := range rs {
-			rs[i] = float64(me + i)
-		}
-		mine, err := c.ReduceScatterF64(p, rs, OpMax)
-		if err != nil {
-			return err
-		}
-		note(p, "reducescatter %v t=%.9f", mine, p.Now())
-
-		sub, err := c.Split(p, me%2, me)
-		if err != nil {
-			return err
-		}
-		subSum, err := sub.AllreduceF64(p, []float64{float64(me + 1)}, OpSum)
-		if err != nil {
-			return err
-		}
-		note(p, "split size=%d sum=%v t=%.9f", sub.Size(), subSum, p.Now())
+		note(p, "sub comm %d rank %d size=%d min=%v count=%d t=%.9f", sub.ID(), sub.Rank(p), sub.Size(), lo, cnt, p.Now())
 
 		// Mid-program failure: the last rank dies instead of entering the
 		// next collective; every survivor must observe the same FailedError.
-		if me == c.Size()-1 {
+		if me == n-1 {
 			note(p, "exiting t=%.9f", p.Now())
 			p.Exit()
 		}
 		_, err = c.AllreduceF64(p, []float64{1}, OpSum)
 		note(p, "failed allreduce err=%v t=%.9f", err, p.Now())
-		if err == nil {
-			return fmt.Errorf("rank %d: allreduce with dead member succeeded", me)
+		if !IsProcessFailure(err) {
+			return fmt.Errorf("rank %d: allreduce with a dead member returned %v", me, err)
 		}
 
-		shrunk, err := c.Shrink(p)
+		// Revocation: comm rank 0 revokes while the others enter a
+		// collective; they are released with ErrRevoked at the revoker's
+		// departure stamp, and the revoker's own collective fails fast.
+		if revoked.Rank(p) == 0 {
+			revoked.Revoke(p)
+			note(p, "revoke comm %d t=%.9f", revoked.ID(), p.Now())
+		}
+		err = revoked.Barrier(p)
+		note(p, "revoked barrier err=%v t=%.9f", err, p.Now())
+		if !IsRevoked(err) {
+			return fmt.Errorf("rank %d: barrier on the revoked comm returned %v", me, err)
+		}
+
+		total, err := final.AllreduceF64(p, []float64{float64(me)}, OpSum)
 		if err != nil {
 			return err
 		}
-		note(p, "shrink size=%d t=%.9f", shrunk.Size(), p.Now())
-
-		flag, err := shrunk.Agree(p, uint32(1<<uint(me%8)))
-		if err != nil {
-			return err
-		}
-		note(p, "agree %#x t=%.9f", flag, p.Now())
-
-		final, err := shrunk.AllreduceF64(p, []float64{float64(me)}, OpSum)
-		if err != nil {
-			return err
-		}
-		note(p, "final allreduce %v t=%.9f", final, p.Now())
+		note(p, "final allreduce size=%d %v t=%.9f", final.Size(), total, p.Now())
 		return nil
 	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
 
 	checkSlotsConserved(t, w, workers)
 	clocks := make([]float64, n)
@@ -178,22 +154,6 @@ func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 		t.Fatalf("obs recorder dropped %d events; raise the ring capacity", rec.Dropped())
 	}
 	return engineTrace{transcripts: transcripts, clocks: clocks, events: buf.Bytes()}
-}
-
-func sumBytes(b []byte) int {
-	s := 0
-	for _, v := range b {
-		s += int(v)
-	}
-	return s
-}
-
-func sumNested(bs [][]byte) int {
-	s := 0
-	for _, b := range bs {
-		s += sumBytes(b)
-	}
-	return s
 }
 
 // testEngineEquivalence runs the scenario on n ranks and compares the
@@ -237,7 +197,7 @@ func testEngineEquivalence(t *testing.T, n int) {
 // JSONL event stream verbatim.
 func (tr engineTrace) golden(n int) []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "# Mixed collective scenario on %d ranks (engine_equiv_test.go).\n", n)
+	fmt.Fprintf(&b, "# Collective scenario on %d ranks (engine_equiv_test.go).\n", n)
 	fmt.Fprintf(&b, "# Regenerate: go test ./internal/mpi -run 'TestEngineEquivalence%d$' -update\n", n)
 	b.WriteString("== transcripts\n")
 	for r, lines := range tr.transcripts {
