@@ -117,10 +117,9 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 
 	// Vertical: dim 0. Send the top interior row up, bottom interior row
 	// down; receive into the ghost rows.
-	up, down := cart.Shift(me, 0, 1) // up = src(above? ) -- Shift returns (src, dst)
-	// Shift(me, 0, 1): dst is the neighbor at +1 in dim 0 (below in grid
-	// numbering), src at -1 (above).
-	above, below := up, down
+	// Shift returns (src, dst): the neighbors at -1 (above in grid
+	// numbering) and +1 (below) in dim 0.
+	above, below := cart.Shift(me, 0, 1)
 	if above >= 0 {
 		got, err := comm.SendrecvSized(p, above, tag2dRow, mpi.EncodeF64(row(1)), simEdgeBytes, above, tag2dRow)
 		if err != nil {

@@ -622,7 +622,7 @@ func (rt *runtime) tryCompleteRepairLocked(r *repair) {
 		if len(shrunkOut) > 0 {
 			// Spare-pool exhaustion compacted the communicator: surface the
 			// implicit MPIX_Comm_shrink the rebuild performed, as a single
-			// world-level event (rank -1), mirroring the explicit collective.
+			// world-level event (rank -1).
 			rec.Emit(syncTime, -1, obs.LayerMPI, obs.EvShrink,
 				obs.KV("from_size", len(newSlots)+len(shrunkOut)),
 				obs.KV("to_size", len(newSlots)))

@@ -74,12 +74,9 @@ type Complexity struct {
 var mpiMethods = map[string]bool{
 	"Send": true, "Recv": true, "Sendrecv": true,
 	"SendSized": true, "SendrecvSized": true,
-	"SendF64": true, "RecvF64": true, "SendrecvF64": true,
 	"Isend": true, "IsendSized": true, "Irecv": true,
 	"Wait": true, "WaitAll": true,
-	"Barrier": true, "Bcast": true,
-	"AllreduceF64": true, "AllreduceInt": true, "ReduceF64": true,
-	"AllgatherB": true, "AllgatherF64": true, "GatherB": true, "ScatterB": true,
+	"Barrier": true, "AllreduceF64": true, "AllreduceInt": true,
 }
 
 // resilienceCalls are the session methods whose call sites constitute the

@@ -69,7 +69,11 @@ func TestSendrecvF64(t *testing.T) {
 	runWorld(w, func(p *Proc) error {
 		other := 1 - p.Rank()
 		out := []float64{float64(p.Rank()) + 0.25}
-		in, err := c.SendrecvF64(p, other, 0, out, other, 0)
+		b, err := c.Sendrecv(p, other, 0, EncodeF64(out), other, 0)
+		if err != nil {
+			return err
+		}
+		in, err := DecodeF64(b)
 		if err != nil {
 			return err
 		}

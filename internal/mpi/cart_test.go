@@ -147,104 +147,14 @@ func TestBalancedDimsProductProperty(t *testing.T) {
 	}
 }
 
-func TestSplitByColor(t *testing.T) {
-	w := testWorld(6)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		color := p.Rank() % 2
-		sub, err := c.Split(p, color, p.Rank())
-		if err != nil {
-			return err
-		}
-		if sub.Size() != 3 {
-			t.Errorf("rank %d sub size %d", p.Rank(), sub.Size())
-		}
-		// Even ranks {0,2,4}, odd ranks {1,3,5}, ordered by key.
-		want := []int{color, color + 2, color + 4}
-		if !reflect.DeepEqual(sub.Group(), want) {
-			t.Errorf("rank %d group %v, want %v", p.Rank(), sub.Group(), want)
-		}
-		// The sub-communicator is immediately usable.
-		sum, err := sub.AllreduceInt(p, p.Rank(), OpSum)
-		if err != nil {
-			return err
-		}
-		if sum != want[0]+want[1]+want[2] {
-			t.Errorf("sub allreduce = %d", sum)
-		}
-		return nil
-	})
-}
-
-func TestSplitKeyReordersRanks(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		// Reverse the ordering via keys.
-		sub, err := c.Split(p, 0, -p.Rank())
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(sub.Group(), []int{2, 1, 0}) {
-			t.Errorf("group %v", sub.Group())
-		}
-		return nil
-	})
-}
-
-func TestSplitUndefinedColor(t *testing.T) {
-	w := testWorld(4)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		color := 0
-		if p.Rank() == 3 {
-			color = -1 // MPI_UNDEFINED
-		}
-		sub, err := c.Split(p, color, 0)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 3 {
-			if sub != nil {
-				t.Error("undefined-color rank got a communicator")
-			}
-			return nil
-		}
-		if sub.Size() != 3 {
-			t.Errorf("sub size %d", sub.Size())
-		}
-		return nil
-	})
-}
-
-func TestSplitConsistentAcrossRanks(t *testing.T) {
-	w := testWorld(4)
-	c := w.CommWorld()
-	ids := make([]int64, 4)
-	runWorld(w, func(p *Proc) error {
-		sub, err := c.Split(p, p.Rank()/2, 0)
-		if err != nil {
-			return err
-		}
-		ids[p.Rank()] = sub.ID()
-		return nil
-	})
-	if ids[0] != ids[1] || ids[2] != ids[3] || ids[0] == ids[2] {
-		t.Fatalf("split comm ids %v", ids)
-	}
-}
-
 func TestSubCommFailureIsolation(t *testing.T) {
-	// A failure in one split communicator poisons that comm's collectives
+	// A failure in one sub-communicator poisons that comm's collectives
 	// but not the sibling's: the surviving group keeps computing.
 	w := testWorld(6)
-	c := w.CommWorld()
+	subs := [2]*Comm{w.NewComm([]int{0, 2, 4}), w.NewComm([]int{1, 3, 5})}
 	runWorld(w, func(p *Proc) error {
 		color := p.Rank() % 2
-		sub, err := c.Split(p, color, p.Rank())
-		if err != nil {
-			return err
-		}
+		sub := subs[color]
 		if p.Rank() == 1 { // a member of the odd group
 			p.Exit()
 		}

@@ -26,26 +26,3 @@ func DecodeF64(b []byte) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// SendF64 sends a float64 slice to comm rank dst.
-func (c *Comm) SendF64(p *Proc, dst, tag int, data []float64) error {
-	return c.Send(p, dst, tag, EncodeF64(data))
-}
-
-// RecvF64 receives a float64 slice from comm rank src.
-func (c *Comm) RecvF64(p *Proc, src, tag int) ([]float64, error) {
-	b, err := c.Recv(p, src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeF64(b)
-}
-
-// SendrecvF64 performs a combined float64 send/receive.
-func (c *Comm) SendrecvF64(p *Proc, dst, sendTag int, data []float64, src, recvTag int) ([]float64, error) {
-	b, err := c.Sendrecv(p, dst, sendTag, EncodeF64(data), src, recvTag)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeF64(b)
-}

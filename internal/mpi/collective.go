@@ -27,26 +27,9 @@ const (
 	memberArrived
 	// memberDead: the member died before arriving.
 	memberDead
-	// memberDeparted: the member departed the communicator before arriving
-	// (regular collectives only; Shrink/Agree ignore departures).
+	// memberDeparted: the member departed the communicator before arriving.
 	memberDeparted
 )
-
-// payload carries one member's collective contribution into its slot.
-// It is a struct of typed fields rather than an `any`: boxing a slice
-// header into an interface costs one heap allocation per arrival on the
-// hot path ([]float64 reductions, []byte broadcasts), and it would defeat
-// buffer recycling entirely. At most one field family is meaningful per
-// collective kind; a/k pack the scalar contributions (Agree's flag,
-// Split's color and key).
-type payload struct {
-	f64 []float64
-	b   []byte
-	bb  [][]byte
-	a   int64 // Agree flag / Split color
-	k   int64 // Split key
-	has bool  // a contribution is present (rooted ops: only root carries data)
-}
 
 // slot records one member's terminal state, indexed by comm rank. The
 // first terminal event per member wins; slots are only written under
@@ -56,20 +39,19 @@ type payload struct {
 type slot struct {
 	state memberState
 	clock float64 // arrival time (memberArrived)
-	stamp float64 // death time (memberDead) or departure stamp (memberDeparted)
-	bytes int
-	pl    payload
+	// data is the member's contribution (nil for Barrier). It is taken
+	// from the world's buffer freelist and recycled by releaseOp.
+	data []float64
 }
 
 // rendezvous synchronizes one collective. Members register terminal states
 // under world.mu; the rendezvous completes when every member is accounted
-// for. Completion publishes the synchronized clock time, any error, and
-// the frozen set of dead members, then wakes the parked members. The
-// struct is pooled: see acquireOpLocked / release in tree.go.
+// for. Completion publishes the synchronized clock time and any error,
+// then wakes the parked members. The struct is pooled: see
+// acquireOpLocked / release in tree.go.
 type rendezvous struct {
-	comm     *Comm
-	tolerant bool // Shrink/Agree: dead members do not poison the result
-	key      collKey
+	comm *Comm
+	key  collKey
 	// waiters holds the members parked on this op, registered under
 	// world.mu by the arriving rank itself. The rank whose event completed
 	// the op wakes them (wakeWaiters).
@@ -98,10 +80,8 @@ type rendezvous struct {
 	completed bool
 	err       error
 	syncTime  float64
-	deadAtEnd []int // world ranks dead at completion, in comm rank order
-	result    any   // memoized collective result (e.g. the shrunk comm)
 
-	// loggable marks a non-tolerant op on the registered resilient lineage:
+	// loggable marks an op on the registered resilient lineage:
 	// finishLocked appends its result slots to the message log on success.
 	loggable bool
 	// replayed marks a synthetic rendezvous served from the message log:
@@ -178,26 +158,15 @@ func (w *World) congestedLocked(r *rendezvous) bool {
 }
 
 // collective runs one rendezvous for the calling process and returns the
-// completed rendezvous. pl is this process's contribution; bytes is its
-// wire size for the cost model. On success the caller owns one reference
-// on the returned rendezvous and must release it (r.release) after
-// extracting its results; on error the reference has already been
-// released.
-func (c *Comm) collective(p *Proc, tolerant bool, pl payload, bytes int) (*rendezvous, error) {
-	return c.collectiveLog(p, tolerant, true, pl, bytes)
-}
-
-// collectiveLog is collective with an explicit message-log opt-out. Split
-// passes logOK=false: its memoized result is a communicator, which cannot
-// be replayed from logged bytes (and no lineage workload splits
-// per-iteration).
-func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes int) (*rendezvous, error) {
+// completed rendezvous. data is this process's contribution (nil for
+// Barrier); bytes is its wire size for the cost model. On success the
+// caller owns one reference on the returned rendezvous and must release
+// it (r.release) after extracting its results; on error the reference
+// has already been released.
+func (c *Comm) collective(p *Proc, data []float64, bytes int) (*rendezvous, error) {
 	p.Inject("mpi.collective")
 	commRank := c.checkMember(p, "collective")
-	var l *MsgLog
-	if !tolerant && logOK {
-		l = p.msglogOn(c)
-	}
+	l := p.msglogOn(c)
 	if l != nil {
 		if e, ok := l.collAt(p.logColl); ok {
 			// Served from the log: this collective completed in the epoch
@@ -217,41 +186,27 @@ func (c *Comm) collectiveLog(p *Proc, tolerant, logOK bool, pl payload, bytes in
 			return fake, nil
 		}
 	}
-	// Tolerant collectives (Shrink/Agree) use a separate sequence space:
-	// after a failure, survivors reach them having executed different
-	// numbers of regular collectives, so they cannot share the counter.
-	seqSpace := c.id
-	if tolerant {
-		seqSpace = -c.id
-	}
-	seq := p.nextSeq(seqSpace)
-	key := collKey{comm: seqSpace, seq: seq}
+	key := collKey{comm: c.id, seq: p.nextSeq(c.id)}
 	start := p.clock.Now()
 
 	w := c.world
 	w.mu.Lock()
-	if !tolerant {
-		// A process that has itself departed the communicator (its last
-		// MPI error, or its own Revoke) fails fast; whether *other*
-		// members departed is resolved by the rendezvous, deterministically.
-		if _, gone := c.departed[p.rank]; gone {
-			w.mu.Unlock()
-			return nil, p.failMPI(ErrRevoked)
-		}
+	// A process that has itself departed the communicator (its last MPI
+	// error, or its own Revoke) fails fast; whether *other* members
+	// departed is resolved by the rendezvous, deterministically.
+	if _, gone := c.departed[p.rank]; gone {
+		w.mu.Unlock()
+		return nil, p.failMPI(ErrRevoked)
 	}
 	r, ok := w.colls[key]
 	if !ok {
-		r = w.acquireOpLocked(c, tolerant, key)
+		r = w.acquireOpLocked(c, key)
 		r.loggable = l != nil
 		w.colls[key] = r
 		w.seedTerminalLocked(r)
 	}
-	if r.tolerant != tolerant {
-		w.mu.Unlock()
-		panic(fmt.Sprintf("mpi: mismatched collective kinds on comm %d seq %d", c.id, seq))
-	}
 	r.refs.Add(1)
-	w.accountArrivalLocked(r, commRank, start, pl, bytes)
+	w.accountArrivalLocked(r, commRank, start, data, bytes)
 	// If this arrival completed the op, wake the waiters. Otherwise register
 	// as one under the same critical section as the arrival — the op cannot
 	// complete between the accounting above and the append, so no wake-up
@@ -287,27 +242,9 @@ func cloneSlotsForLog(slots []slot) ([]slot, int) {
 	bytes := 0
 	for i := range slots {
 		s := slots[i]
-		if len(s.pl.f64) > 0 {
-			cp := make([]float64, len(s.pl.f64))
-			copy(cp, s.pl.f64)
-			s.pl.f64 = cp
-			bytes += 8 * len(cp)
-		}
-		if len(s.pl.b) > 0 {
-			cp := make([]byte, len(s.pl.b))
-			copy(cp, s.pl.b)
-			s.pl.b = cp
-			bytes += len(cp)
-		}
-		if len(s.pl.bb) > 0 {
-			cpp := make([][]byte, len(s.pl.bb))
-			for j, b := range s.pl.bb {
-				cb := make([]byte, len(b))
-				copy(cb, b)
-				cpp[j] = cb
-				bytes += len(cb)
-			}
-			s.pl.bb = cpp
+		if len(s.data) > 0 {
+			s.data = append([]float64(nil), s.data...)
+			bytes += 8 * len(s.data)
 		}
 		out[i] = s
 	}
@@ -317,7 +254,7 @@ func cloneSlotsForLog(slots []slot) ([]slot, int) {
 // Barrier blocks until all live members arrive. It fails with FailedError
 // if any member has died.
 func (c *Comm) Barrier(p *Proc) error {
-	r, err := c.collective(p, false, payload{}, 0)
+	r, err := c.collective(p, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -325,34 +262,7 @@ func (c *Comm) Barrier(p *Proc) error {
 	return nil
 }
 
-// Bcast distributes root's buffer to every member and returns each
-// process's copy. Non-root callers pass nil (or their stale buffer, which
-// is ignored).
-func (c *Comm) Bcast(p *Proc, root int, data []byte) ([]byte, error) {
-	var pl payload
-	bytes := 0
-	if c.Rank(p) == root {
-		cp := c.world.payloadB(len(data))
-		copy(cp, data)
-		pl = payload{b: cp, has: true}
-		bytes = len(data)
-	}
-	r, err := c.collective(p, false, pl, bytes)
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(c.world)
-	s := &r.slots[root]
-	if s.state != memberArrived || !s.pl.has {
-		return nil, c.fail(p, newFailedError([]int{c.WorldRank(root)}))
-	}
-	src := s.pl.b
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
-}
-
-// ReduceOp is a reduction operator for Allreduce/Reduce.
+// ReduceOp is a reduction operator for the allreduce collectives.
 type ReduceOp int
 
 const (
@@ -411,7 +321,7 @@ func (c *Comm) reduceShared(r *rendezvous, op ReduceOp, n int) ([]float64, error
 			if s.state != memberArrived {
 				continue
 			}
-			vec := s.pl.f64
+			vec := s.data
 			if len(vec) != n {
 				r.reduceErr = fmt.Errorf("mpi: reduce length mismatch: %d vs %d", len(vec), n)
 				break
@@ -443,26 +353,11 @@ func (c *Comm) reduceShared(r *rendezvous, op ReduceOp, n int) ([]float64, error
 func (c *Comm) AllreduceF64(p *Proc, data []float64, op ReduceOp) ([]float64, error) {
 	cp := c.world.payloadF64(len(data))
 	copy(cp, data)
-	r, err := c.collective(p, false, payload{f64: cp, has: true}, 8*len(data))
+	r, err := c.collective(p, cp, 8*len(data))
 	if err != nil {
 		return nil, err
 	}
 	defer r.release(c.world)
-	return c.reduceShared(r, op, len(data))
-}
-
-// ReduceF64 reduces to root; non-root members receive nil.
-func (c *Comm) ReduceF64(p *Proc, root int, data []float64, op ReduceOp) ([]float64, error) {
-	cp := c.world.payloadF64(len(data))
-	copy(cp, data)
-	r, err := c.collective(p, false, payload{f64: cp, has: true}, 8*len(data))
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(c.world)
-	if c.Rank(p) != root {
-		return nil, nil
-	}
 	return c.reduceShared(r, op, len(data))
 }
 
@@ -474,85 +369,4 @@ func (c *Comm) AllreduceInt(p *Proc, v int, op ReduceOp) (int, error) {
 		return 0, err
 	}
 	return int(out[0]), nil
-}
-
-// AllgatherB gathers each member's byte payload at every member, indexed by
-// comm rank.
-func (c *Comm) AllgatherB(p *Proc, data []byte) ([][]byte, error) {
-	cp := c.world.payloadB(len(data))
-	copy(cp, data)
-	r, err := c.collective(p, false, payload{b: cp, has: true}, len(data))
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(c.world)
-	out := make([][]byte, len(c.group))
-	for cr := range r.slots {
-		s := &r.slots[cr]
-		if s.state != memberArrived {
-			continue
-		}
-		src := s.pl.b
-		buf := make([]byte, len(src))
-		copy(buf, src)
-		out[cr] = buf
-	}
-	return out, nil
-}
-
-// Shrink creates a new communicator containing the surviving members,
-// densely re-ranked in old comm rank order (ULFM MPI_Comm_shrink). It is
-// fault-tolerant: it succeeds even when members have failed, and all
-// survivors agree on the membership of the result.
-func (c *Comm) Shrink(p *Proc) (*Comm, error) {
-	r, err := c.collective(p, true, payload{}, 0)
-	if err != nil {
-		return nil, err
-	}
-	w := c.world
-	w.mu.Lock()
-	if r.result == nil {
-		deadSet := make(map[int]bool, len(r.deadAtEnd))
-		for _, wr := range r.deadAtEnd {
-			deadSet[wr] = true
-		}
-		var survivors []int
-		for _, wr := range c.group {
-			if !deadSet[wr] {
-				survivors = append(survivors, wr)
-			}
-		}
-		r.result = w.newCommLocked(survivors)
-	}
-	shrunk := r.result.(*Comm)
-	w.mu.Unlock()
-	r.release(w)
-	// Emitted by every participant (rank attribute distinguishes them).
-	p.Event(obs.LayerMPI, obs.EvShrink,
-		obs.KV("comm", c.id), obs.KV("from_size", len(c.group)), obs.KV("to_size", shrunk.Size()))
-	p.world.obs.Registry().Counter(obs.MShrinks).Inc()
-	return shrunk, nil
-}
-
-// Agree performs a fault-tolerant agreement on the bitwise AND of flag
-// across surviving members (ULFM MPI_Comm_agree). All survivors receive the
-// same value and the same view of acknowledged failures.
-func (c *Comm) Agree(p *Proc, flag uint32) (uint32, error) {
-	r, err := c.collective(p, true, payload{a: int64(flag), has: true}, 4)
-	if err != nil {
-		return 0, err
-	}
-	out := ^uint32(0)
-	for cr := range r.slots {
-		s := &r.slots[cr]
-		if s.state == memberArrived {
-			out &= uint32(s.pl.a)
-		}
-	}
-	participants, failed := r.nArrived, len(r.deadAtEnd)
-	r.release(c.world)
-	p.Event(obs.LayerMPI, obs.EvAgree,
-		obs.KV("comm", c.id), obs.KV("participants", participants), obs.KV("failed", failed))
-	p.world.obs.Registry().Counter(obs.MAgreements).Inc()
-	return out, nil
 }

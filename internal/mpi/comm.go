@@ -135,9 +135,7 @@ func (c *Comm) departLocked(wr int, stamp float64) {
 	c.departed[wr] = stamp
 	w := c.world
 	for _, rv := range w.colls {
-		// Tolerant ops (Shrink/Agree) ignore departures: the departed
-		// member still arrives on the recovery path.
-		if rv.comm != c || rv.tolerant {
+		if rv.comm != c {
 			continue
 		}
 		w.accountDepartedLocked(rv, c.index[wr], stamp)
@@ -330,8 +328,8 @@ func (c *Comm) SendrecvSized(p *Proc, dst, sendTag int, data []byte, simBytes, s
 
 // Revoke marks the communicator revoked at all processes (ULFM
 // MPI_Comm_revoke): every pending and future operation on it fails with
-// ErrRevoked, except Shrink and Agree. Revocation is what turns one rank's
-// local failure knowledge into a single global control-flow exit point.
+// ErrRevoked. Revocation is what turns one rank's local failure knowledge
+// into a single global control-flow exit point.
 //
 // Mechanically, Revoke records the revoker's own departure from the
 // communicator: the revoker will never again service operations on it, so
@@ -365,86 +363,4 @@ func (c *Comm) Revoke(p *Proc) {
 	for _, wr := range c.group {
 		c.world.procs[wr].mail.wakeAll()
 	}
-}
-
-// Split partitions the communicator by color (MPI_Comm_split): members
-// passing the same color form a new communicator, ordered by key (ties
-// broken by old comm rank). Members passing a negative color receive nil
-// (MPI_UNDEFINED). Split is collective.
-func (c *Comm) Split(p *Proc, color, key int) (*Comm, error) {
-	r, err := c.collectiveLog(p, false, false, payload{a: int64(color), k: int64(key), has: true}, 8)
-	if err != nil {
-		return nil, err
-	}
-	w := c.world
-	w.mu.Lock()
-	defer func() {
-		w.mu.Unlock()
-		r.release(w)
-	}()
-	if r.result == nil {
-		// Build all sub-communicators once, deterministically.
-		type member struct{ color, key, oldRank, worldRank int }
-		var members []member
-		for cr := range r.slots {
-			s := &r.slots[cr]
-			if s.state != memberArrived {
-				continue
-			}
-			members = append(members, member{int(s.pl.a), int(s.pl.k), cr, c.group[cr]})
-		}
-		// Sort by (color, key, old rank).
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				a, b := members[i], members[j]
-				if b.color < a.color || (b.color == a.color && (b.key < a.key || (b.key == a.key && b.oldRank < a.oldRank))) {
-					members[i], members[j] = members[j], members[i]
-				}
-			}
-		}
-		comms := make(map[int]*Comm)
-		var groups = make(map[int][]int)
-		for _, m := range members {
-			if m.color < 0 {
-				continue
-			}
-			groups[m.color] = append(groups[m.color], m.worldRank)
-		}
-		// Deterministic creation order: ascending color.
-		var colors []int
-		for col := range groups {
-			colors = append(colors, col)
-		}
-		for i := 0; i < len(colors); i++ {
-			for j := i + 1; j < len(colors); j++ {
-				if colors[j] < colors[i] {
-					colors[i], colors[j] = colors[j], colors[i]
-				}
-			}
-		}
-		for _, col := range colors {
-			comms[col] = w.newCommLocked(groups[col])
-		}
-		r.result = comms
-	}
-	comms := r.result.(map[int]*Comm)
-	if color < 0 {
-		return nil, nil
-	}
-	return comms[color], nil
-}
-
-// FailedRanks returns the comm ranks currently known to have failed, in
-// comm rank order (ULFM MPI_Comm_failure_ack + get_acked).
-func (c *Comm) FailedRanks(p *Proc) []int {
-	c.checkMember(p, "FailedRanks")
-	c.world.mu.Lock()
-	defer c.world.mu.Unlock()
-	var out []int
-	for cr, wr := range c.group {
-		if c.world.dead[wr] {
-			out = append(out, cr)
-		}
-	}
-	return out
 }

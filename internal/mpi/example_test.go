@@ -32,16 +32,18 @@ func Example() {
 }
 
 // ULFM semantics: a failure surfaces as an error at the surviving ranks,
-// which can revoke, shrink, and continue on the smaller communicator.
-func ExampleComm_Shrink() {
+// which revoke the communicator and continue on one built over the
+// survivors — the way Fenix substitutes its repaired communicator.
+func ExampleWorld_NewComm() {
 	machine := sim.DefaultMachine()
 	machine.NoiseAmplitude = 0
 	cl := cluster.New(3, machine)
 	w := mpi.NewWorld(cl, 3, 1, false, 1, 0)
 	c := w.CommWorld()
+	survivors := w.NewComm([]int{0, 2})
 
 	var mu sync.Mutex
-	var survivors []int
+	var ranks []int
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -53,19 +55,18 @@ func ExampleComm_Shrink() {
 			}
 			if err := c.Barrier(p); mpi.IsProcessFailure(err) {
 				c.Revoke(p)
-				shrunk, err := c.Shrink(p)
-				if err != nil {
+				if err := survivors.Barrier(p); err != nil {
 					return
 				}
 				mu.Lock()
-				survivors = append(survivors, shrunk.Rank(p))
+				ranks = append(ranks, survivors.Rank(p))
 				mu.Unlock()
 			}
 		}(w.Proc(i))
 	}
 	wg.Wait()
-	sort.Ints(survivors)
-	fmt.Println("survivor ranks in shrunk comm:", survivors)
+	sort.Ints(ranks)
+	fmt.Println("survivor ranks in the new comm:", ranks)
 	// Output:
-	// survivor ranks in shrunk comm: [0 1]
+	// survivor ranks in the new comm: [0 1]
 }

@@ -213,7 +213,6 @@ func (p *Proc) enter() {
 type bufFree struct {
 	mu  sync.Mutex
 	f64 [][]float64
-	b   [][]byte
 }
 
 // payloadF64 takes a recycled float64 payload buffer of length n. The
@@ -236,38 +235,13 @@ func (w *World) payloadF64(n int) []float64 {
 	return make([]float64, n)
 }
 
-// payloadB is payloadF64 for byte payloads.
-func (w *World) payloadB(n int) []byte {
-	w.bufs.mu.Lock()
-	if k := len(w.bufs.b); k > 0 {
-		buf := w.bufs.b[k-1]
-		w.bufs.b[k-1] = nil
-		w.bufs.b = w.bufs.b[:k-1]
-		w.bufs.mu.Unlock()
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-		return make([]byte, n)
-	}
-	w.bufs.mu.Unlock()
-	return make([]byte, n)
-}
-
-// recyclePayload returns a slot's recyclable buffers (the typed f64/byte
-// contributions taken via payloadF64/payloadB) to the freelist. The
-// per-destination [][]byte contributions (Scatter/Alltoall) are not
-// recycled: they are off the steady-state hot path and their jagged
-// shapes defeat a simple freelist.
-func (w *World) recyclePayload(pl *payload) {
-	if pl.f64 == nil && pl.b == nil {
+// recyclePayload returns a slot's contribution (taken via payloadF64) to
+// the freelist.
+func (w *World) recyclePayload(buf []float64) {
+	if buf == nil {
 		return
 	}
 	w.bufs.mu.Lock()
-	if pl.f64 != nil {
-		w.bufs.f64 = append(w.bufs.f64, pl.f64)
-	}
-	if pl.b != nil {
-		w.bufs.b = append(w.bufs.b, pl.b)
-	}
+	w.bufs.f64 = append(w.bufs.f64, buf)
 	w.bufs.mu.Unlock()
 }

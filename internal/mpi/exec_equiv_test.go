@@ -348,14 +348,16 @@ func TestExecPoolP2P(t *testing.T) {
 // TestExecPoolSlotsConserved runs point-to-point waits through their
 // failure wake-ups at K = 1 and 2 slots: a ring exchange, then a rank
 // dies while its successor is parked receiving from it (woken by
-// markDead), the survivors revoke (woken by departure), shrink, and
-// reduce. Every job must leave the scheduler with all K slots free, an
-// empty ready queue and no registered waiter.
+// markDead), the survivors revoke (woken by departure) and reduce on a
+// NewComm communicator of the survivors. Every job must leave the
+// scheduler with all K slots free, an empty ready queue and no
+// registered waiter.
 func TestExecPoolSlotsConserved(t *testing.T) {
 	const n = 8
 	for _, workers := range []int{1, 2} {
 		w := testWorld(n)
 		w.SetExecModeWorkers(ExecPool, workers)
+		survivors := w.NewComm([]int{0, 1, 2, 4, 5, 6, 7})
 		errs := runWorld(w, func(p *Proc) error {
 			c := w.CommWorld()
 			me := c.Rank(p)
@@ -376,11 +378,7 @@ func TestExecPoolSlotsConserved(t *testing.T) {
 			} else if _, err := c.Recv(p, next, 100); !IsULFMError(err) {
 				return fmt.Errorf("rank %d: receive on the revoked comm returned %v", me, err)
 			}
-			shrunk, err := c.Shrink(p)
-			if err != nil {
-				return err
-			}
-			_, err = shrunk.AllreduceF64(p, []float64{1}, OpSum)
+			_, err := survivors.AllreduceF64(p, []float64{1}, OpSum)
 			return err
 		})
 		for r, err := range errs {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -204,30 +203,6 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	w := testWorld(4)
-	c := w.CommWorld()
-	errs := runWorld(w, func(p *Proc) error {
-		var in []byte
-		if p.Rank() == 2 {
-			in = []byte("config blob")
-		}
-		got, err := c.Bcast(p, 2, in)
-		if err != nil {
-			return err
-		}
-		if string(got) != "config blob" {
-			t.Errorf("rank %d bcast got %q", p.Rank(), got)
-		}
-		return nil
-	})
-	for _, e := range errs {
-		if e != nil {
-			t.Fatal(e)
-		}
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	w := testWorld(4)
 	c := w.CommWorld()
@@ -274,42 +249,6 @@ func TestAllreduceInt(t *testing.T) {
 		}
 		if v != 10 {
 			t.Errorf("AllreduceInt min = %d", v)
-		}
-		return nil
-	})
-}
-
-func TestReduceF64OnlyRoot(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		out, err := c.ReduceF64(p, 1, []float64{2}, OpSum)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 1 {
-			if out[0] != 6 {
-				t.Errorf("root reduce = %v", out)
-			}
-		} else if out != nil {
-			t.Errorf("non-root got %v", out)
-		}
-		return nil
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		out, err := c.AllgatherB(p, []byte{byte(p.Rank() * 10)})
-		if err != nil {
-			return err
-		}
-		for i, b := range out {
-			if b[0] != byte(i*10) {
-				t.Errorf("allgather[%d] = %d", i, b[0])
-			}
 		}
 		return nil
 	})
@@ -535,129 +474,6 @@ func TestRevokePoisonsPendingAndFutureOps(t *testing.T) {
 	}
 }
 
-func TestShrinkExcludesDeadRanks(t *testing.T) {
-	w := testWorld(4)
-	c := w.CommWorld()
-	var mu sync.Mutex
-	var shrunk *Comm
-	runWorld(w, func(p *Proc) error {
-		if p.Rank() == 1 {
-			p.Exit()
-		}
-		if err := c.Barrier(p); !IsProcessFailure(err) {
-			t.Errorf("rank %d expected failure, got %v", p.Rank(), err)
-		}
-		c.Revoke(p)
-		s, err := c.Shrink(p)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		shrunk = s
-		mu.Unlock()
-		// Survivors: world ranks 0,2,3 densely ranked.
-		if s.Size() != 3 {
-			t.Errorf("shrunk size = %d", s.Size())
-		}
-		// The shrunk comm must be immediately usable.
-		v, err := s.AllreduceInt(p, 1, OpSum)
-		if err != nil {
-			return err
-		}
-		if v != 3 {
-			t.Errorf("allreduce on shrunk = %d", v)
-		}
-		return nil
-	})
-	if got := shrunk.Group(); !reflect.DeepEqual(got, []int{0, 2, 3}) {
-		t.Fatalf("shrunk group = %v", got)
-	}
-}
-
-func TestShrinkIsConsistentAcrossRanks(t *testing.T) {
-	w := testWorld(4)
-	c := w.CommWorld()
-	ids := make([]int64, 4)
-	runWorld(w, func(p *Proc) error {
-		if p.Rank() == 3 {
-			p.Exit()
-		}
-		for !w.isDead(3) {
-		}
-		s, err := c.Shrink(p)
-		if err != nil {
-			return err
-		}
-		ids[p.Rank()] = s.ID()
-		return nil
-	})
-	if ids[0] == 0 || ids[0] != ids[1] || ids[1] != ids[2] {
-		t.Fatalf("shrink returned different comms: %v", ids[:3])
-	}
-}
-
-func TestAgreeAndsFlagsAcrossSurvivors(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		if p.Rank() == 2 {
-			p.Exit()
-		}
-		for !w.isDead(2) {
-		}
-		flag := uint32(0b111)
-		if p.Rank() == 1 {
-			flag = 0b101
-		}
-		got, err := c.Agree(p, flag)
-		if err != nil {
-			return err
-		}
-		if got != 0b101 {
-			t.Errorf("agree = %b", got)
-		}
-		return nil
-	})
-}
-
-func TestAgreeWorksOnRevokedComm(t *testing.T) {
-	w := testWorld(2)
-	c := w.CommWorld()
-	errs := runWorld(w, func(p *Proc) error {
-		if p.Rank() == 0 {
-			c.Revoke(p)
-		}
-		for !c.Revoked() {
-		}
-		_, err := c.Agree(p, 1)
-		return err
-	})
-	for _, e := range errs {
-		if e != nil {
-			t.Fatalf("agree on revoked comm: %v", e)
-		}
-	}
-}
-
-func TestFailedRanksReportsCommRanks(t *testing.T) {
-	w := testWorld(4)
-	sub := w.NewComm([]int{3, 1}) // comm rank 0 -> world 3, comm rank 1 -> world 1
-	runWorld(w, func(p *Proc) error {
-		if p.Rank() == 3 {
-			p.Exit()
-		}
-		for !w.isDead(3) {
-		}
-		if p.Rank() == 1 {
-			got := sub.FailedRanks(p)
-			if !reflect.DeepEqual(got, []int{0}) {
-				t.Errorf("FailedRanks = %v", got)
-			}
-		}
-		return nil
-	})
-}
-
 // --- codec ---
 
 func TestF64CodecRoundTrip(t *testing.T) {
@@ -691,9 +507,13 @@ func TestSendRecvF64(t *testing.T) {
 	want := []float64{1.5, -2.25, math.Pi}
 	runWorld(w, func(p *Proc) error {
 		if p.Rank() == 0 {
-			return c.SendF64(p, 1, 0, want)
+			return c.Send(p, 1, 0, EncodeF64(want))
 		}
-		got, err := c.RecvF64(p, 0, 0)
+		b, err := c.Recv(p, 0, 0)
+		if err != nil {
+			return err
+		}
+		got, err := DecodeF64(b)
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,9 @@ import (
 //   - every point-to-point payload sent on a registered (lineage)
 //     communicator, keyed by (sender slot, receiver slot, tag) in send
 //     order — the sender-based log of Dichev & Nikolopoulos;
-//   - the result slots of every completed non-tolerant collective on the
-//     lineage, in completion order (which equals program order, because a
-//     collective only completes when all members arrived);
+//   - the result slots of every completed collective on the lineage, in
+//     completion order (which equals program order, because a collective
+//     only completes when all members arrived);
 //   - per-slot cursor snapshots taken at each checkpoint-region boundary,
 //     recording how far into the log that slot's traffic had progressed
 //     when it entered iteration `iter`.
@@ -280,7 +280,7 @@ func (l *MsgLog) noteConsumed(key p2pKey, seq int) bool {
 	return false
 }
 
-// AppendColl logs one completed non-tolerant lineage collective.
+// AppendColl logs one completed lineage collective.
 func (l *MsgLog) AppendColl(slots []slot, nArrived, simBytes int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -171,176 +169,4 @@ func TestWaitAll(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestGatherAtRoot(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		out, err := c.GatherB(p, 1, []byte{byte(p.Rank() * 3)})
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 1 {
-			for i, b := range out {
-				if b[0] != byte(i*3) {
-					t.Errorf("gather[%d] = %d", i, b[0])
-				}
-			}
-		} else if out != nil {
-			t.Errorf("non-root got %v", out)
-		}
-		return nil
-	})
-}
-
-func TestScatterFromRoot(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		var chunks [][]byte
-		if p.Rank() == 0 {
-			chunks = [][]byte{{10}, {11}, {12}}
-		}
-		got, err := c.ScatterB(p, 0, chunks)
-		if err != nil {
-			return err
-		}
-		if got[0] != byte(10+p.Rank()) {
-			t.Errorf("rank %d got %d", p.Rank(), got[0])
-		}
-		return nil
-	})
-}
-
-func TestScatterChunkIsolation(t *testing.T) {
-	w := testWorld(2)
-	c := w.CommWorld()
-	src := [][]byte{{1}, {2}}
-	runWorld(w, func(p *Proc) error {
-		var chunks [][]byte
-		if p.Rank() == 0 {
-			chunks = src
-		}
-		got, err := c.ScatterB(p, 0, chunks)
-		if err != nil {
-			return err
-		}
-		got[0] = 99 // must not alias root's buffers
-		return nil
-	})
-	if src[0][0] != 1 || src[1][0] != 2 {
-		t.Fatal("scatter aliased root chunks")
-	}
-}
-
-func TestAllgatherF64(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		out, err := c.AllgatherF64(p, []float64{float64(p.Rank()) + 0.5})
-		if err != nil {
-			return err
-		}
-		want := [][]float64{{0.5}, {1.5}, {2.5}}
-		if !reflect.DeepEqual(out, want) {
-			t.Errorf("allgather = %v", out)
-		}
-		return nil
-	})
-}
-
-func TestGatherFailsOnDeadMember(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	errs := runWorld(w, func(p *Proc) error {
-		if p.Rank() == 2 {
-			p.Exit()
-		}
-		_, err := c.GatherB(p, 0, []byte{1})
-		return err
-	})
-	if !IsProcessFailure(errs[0]) || !IsProcessFailure(errs[1]) {
-		t.Fatalf("errs = %v", errs[:2])
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		// chunks[i] = [10*me + i]
-		chunks := make([][]byte, 3)
-		for i := range chunks {
-			chunks[i] = []byte{byte(10*p.Rank() + i)}
-		}
-		out, err := c.AlltoallB(p, chunks)
-		if err != nil {
-			return err
-		}
-		// out[j] came from rank j and is j's chunk for me.
-		for j, b := range out {
-			want := byte(10*j + p.Rank())
-			if b[0] != want {
-				t.Errorf("rank %d out[%d] = %d, want %d", p.Rank(), j, b[0], want)
-			}
-		}
-		return nil
-	})
-}
-
-func TestAlltoallWrongChunkCount(t *testing.T) {
-	w := testWorld(2)
-	c := w.CommWorld()
-	errs := make([]error, 2)
-	runWorld(w, func(p *Proc) error {
-		if p.Rank() == 0 {
-			_, err := c.AlltoallB(p, [][]byte{{1}})
-			errs[0] = err
-			// Recover the collective schedule for rank 1's matching call.
-			_, err2 := c.AlltoallB(p, [][]byte{{1}, {2}})
-			return err2
-		}
-		_, err := c.AlltoallB(p, [][]byte{{3}, {4}})
-		return err
-	})
-	if errs[0] == nil {
-		t.Fatal("wrong chunk count accepted")
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	w := testWorld(2)
-	c := w.CommWorld()
-	runWorld(w, func(p *Proc) error {
-		// Rank r contributes [r+1, r+1, r+1, r+1]; sum = [3,3,3,3];
-		// each rank gets a block of 2.
-		data := []float64{float64(p.Rank() + 1), float64(p.Rank() + 1), float64(p.Rank() + 1), float64(p.Rank() + 1)}
-		out, err := c.ReduceScatterF64(p, data, OpSum)
-		if err != nil {
-			return err
-		}
-		if len(out) != 2 || out[0] != 3 || out[1] != 3 {
-			t.Errorf("rank %d reduce-scatter = %v", p.Rank(), out)
-		}
-		return nil
-	})
-}
-
-func TestReduceScatterBadLength(t *testing.T) {
-	w := testWorld(3)
-	c := w.CommWorld()
-	var mu sync.Mutex
-	errCount := 0
-	runWorld(w, func(p *Proc) error {
-		if _, err := c.ReduceScatterF64(p, []float64{1, 2}, OpSum); err != nil {
-			mu.Lock()
-			errCount++
-			mu.Unlock()
-		}
-		return nil
-	})
-	if errCount != 3 {
-		t.Fatalf("bad length accepted at %d ranks", 3-errCount)
-	}
 }

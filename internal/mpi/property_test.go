@@ -93,81 +93,6 @@ func TestAllreduceMinMaxProperty(t *testing.T) {
 	}
 }
 
-func TestBcastProperty(t *testing.T) {
-	// Any payload from any root reaches every rank intact.
-	f := func(payload []byte, rootSeed uint8) bool {
-		const n = 4
-		root := int(rootSeed) % n
-		w := testWorld(n)
-		c := w.CommWorld()
-		ok := true
-		runWorld(w, func(p *Proc) error {
-			var in []byte
-			if c.Rank(p) == root {
-				in = payload
-			}
-			got, err := c.Bcast(p, root, in)
-			if err != nil {
-				ok = false
-				return err
-			}
-			if len(got) != len(payload) {
-				ok = false
-				return nil
-			}
-			for i := range payload {
-				if got[i] != payload[i] {
-					ok = false
-				}
-			}
-			return nil
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherScatterInverseProperty(t *testing.T) {
-	// Scatter then gather reproduces the root's chunk list.
-	f := func(a, b, c byte) bool {
-		const n = 3
-		chunks := [][]byte{{a}, {b}, {c}}
-		w := testWorld(n)
-		comm := w.CommWorld()
-		ok := true
-		runWorld(w, func(p *Proc) error {
-			var in [][]byte
-			if p.Rank() == 0 {
-				in = chunks
-			}
-			mine, err := comm.ScatterB(p, 0, in)
-			if err != nil {
-				ok = false
-				return err
-			}
-			back, err := comm.GatherB(p, 0, mine)
-			if err != nil {
-				ok = false
-				return err
-			}
-			if p.Rank() == 0 {
-				for i := range chunks {
-					if back[i][0] != chunks[i][0] {
-						ok = false
-					}
-				}
-			}
-			return nil
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClockMonotonicityUnderTraffic(t *testing.T) {
 	// Property: virtual clocks never move backwards regardless of message
 	// pattern.

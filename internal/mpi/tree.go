@@ -1,9 +1,8 @@
 // Binomial-tree collective engine.
 //
 // A collective rendezvous must decide, for every member of the
-// communicator, how that member is accounted for — arrived, dead, or (for
-// regular collectives) departed — and complete once every member has a
-// terminal state. The engine records each member's first terminal event
+// communicator, how that member is accounted for — arrived, dead, or
+// departed — and complete once every member has a terminal state. The engine records each member's first terminal event
 // in a per-op slot and propagates *completion* up a binomial tree over
 // comm ranks: each tree node holds a counter of unaccounted members in its
 // subtree, a member's terminal event decrements the counters on its root
@@ -73,7 +72,7 @@ func buildTreeInit(p int) []int32 {
 
 // acquireOpLocked takes a rendezvous from the world's pool (or allocates
 // one) and resets it for a new collective on c. Caller holds world.mu.
-func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous {
+func (w *World) acquireOpLocked(c *Comm, key collKey) *rendezvous {
 	var r *rendezvous
 	if v := w.opPool.Get(); v != nil {
 		r = v.(*rendezvous)
@@ -92,15 +91,13 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 		}
 	}
 	copy(r.treeLeft, c.treeLeft0)
-	r.comm, r.tolerant, r.key = c, tolerant, key
+	r.comm, r.key = c, key
 	r.waiters = r.waiters[:0]
 	r.refs.Store(0)
 	r.nArrived, r.nDead, r.nDeparted = 0, 0, 0
 	r.maxClock, r.maxDeadAt, r.departStamp = 0, 0, 0
 	r.maxBytes = 0
 	r.completed, r.err, r.syncTime = false, nil, 0
-	r.deadAtEnd = r.deadAtEnd[:0]
-	r.result = nil
 	r.loggable, r.replayed = false, false
 	r.reduced, r.reduceErr, r.reducedOK = r.reduced[:0], nil, false
 	return r
@@ -112,12 +109,11 @@ func (w *World) acquireOpLocked(c *Comm, tolerant bool, key collKey) *rendezvous
 // waking the waiters).
 func (w *World) releaseOp(r *rendezvous) {
 	for i := range r.slots {
-		w.recyclePayload(&r.slots[i].pl)
+		w.recyclePayload(r.slots[i].data)
 		r.slots[i] = slot{}
 	}
 	r.comm = nil
 	r.err = nil
-	r.result = nil
 	r.reduceErr = nil
 	w.opPool.Put(r)
 }
@@ -140,8 +136,8 @@ func (r *rendezvous) release(w *World) {
 }
 
 // seedTerminalLocked accounts members that already hold a terminal state
-// when the op is created: dead members, and — for regular collectives —
-// members that have departed the communicator. Later deaths/departures
+// when the op is created: dead members, and members that have departed
+// the communicator. Later deaths/departures
 // arrive as events through markDead/departLocked. Departure is checked
 // before death: a member can only depart while alive, so for a member that
 // did both, the departure came first in its program order — seeding must
@@ -151,11 +147,9 @@ func (r *rendezvous) release(w *World) {
 func (w *World) seedTerminalLocked(r *rendezvous) {
 	c := r.comm
 	for cr, wr := range c.group {
-		if !r.tolerant {
-			if t, ok := c.departed[wr]; ok {
-				w.accountDepartedLocked(r, cr, t)
-				continue
-			}
+		if t, ok := c.departed[wr]; ok {
+			w.accountDepartedLocked(r, cr, t)
+			continue
 		}
 		if w.dead[wr] {
 			w.accountDeadLocked(r, cr, w.deadAt[wr])
@@ -165,12 +159,12 @@ func (w *World) seedTerminalLocked(r *rendezvous) {
 
 // accountArrivalLocked records comm rank cr's arrival and propagates it up
 // the tree. Caller holds world.mu.
-func (w *World) accountArrivalLocked(r *rendezvous, cr int, clock float64, pl payload, bytes int) {
+func (w *World) accountArrivalLocked(r *rendezvous, cr int, clock float64, data []float64, bytes int) {
 	s := &r.slots[cr]
 	if s.state != memberPending {
 		return
 	}
-	s.state, s.clock, s.pl, s.bytes = memberArrived, clock, pl, bytes
+	s.state, s.clock, s.data = memberArrived, clock, data
 	r.nArrived++
 	if clock > r.maxClock {
 		r.maxClock = clock
@@ -189,7 +183,7 @@ func (w *World) accountDeadLocked(r *rendezvous, cr int, deadAt float64) {
 	if s.state != memberPending {
 		return
 	}
-	s.state, s.stamp = memberDead, deadAt
+	s.state = memberDead
 	r.nDead++
 	if deadAt > r.maxDeadAt {
 		r.maxDeadAt = deadAt
@@ -198,14 +192,13 @@ func (w *World) accountDeadLocked(r *rendezvous, cr int, deadAt float64) {
 }
 
 // accountDepartedLocked records comm rank cr's departure from the
-// communicator (non-tolerant ops only: Shrink/Agree ignore departures).
-// Caller holds world.mu.
+// communicator. Caller holds world.mu.
 func (w *World) accountDepartedLocked(r *rendezvous, cr int, stamp float64) {
 	s := &r.slots[cr]
 	if s.state != memberPending {
 		return
 	}
-	s.state, s.stamp = memberDeparted, stamp
+	s.state = memberDeparted
 	r.nDeparted++
 	if stamp > r.departStamp {
 		r.departStamp = stamp
@@ -234,26 +227,23 @@ func (w *World) propagateLocked(r *rendezvous, cr int) {
 // completeTreeLocked publishes the rendezvous outcome from the aggregate
 // scalars maintained during accounting. It runs exactly once per op (when
 // the tree root empties). Its O(P) slot scans are the congestion probe
-// (congestedLocked) and, after failures, listing dead members. Caller
-// holds world.mu.
+// (congestedLocked) and, after failures, listing dead members for the
+// FailedError. Caller holds world.mu.
 func (w *World) completeTreeLocked(r *rendezvous) {
 	if r.completed {
 		return
 	}
 	alive := len(r.slots) - r.nDead
 	if r.nDead > 0 {
+		dead := make([]int, 0, r.nDead)
 		for cr := range r.slots {
 			if r.slots[cr].state == memberDead {
-				r.deadAtEnd = append(r.deadAtEnd, r.comm.group[cr])
+				dead = append(dead, r.comm.group[cr])
 			}
 		}
-	}
-	if !r.tolerant {
-		if r.nDead > 0 {
-			r.err = newFailedError(r.deadAtEnd)
-		} else if r.nDeparted > 0 {
-			r.err = ErrRevoked
-		}
+		r.err = newFailedError(dead)
+	} else if r.nDeparted > 0 {
+		r.err = ErrRevoked
 	}
 	cost := w.machine.CollectiveTime(alive, r.maxBytes)
 	if w.congestedLocked(r) {

@@ -5,8 +5,9 @@
 // and collectives synchronize clocks according to the sim.Machine cost
 // model. Process failure is injected by a rank calling Proc.Exit; all peers
 // subsequently observe FailedError from operations involving the failed
-// rank, exactly as ULFM raises MPI_ERR_PROC_FAILED. Communicators support
-// Revoke, Shrink, and Agree, the ULFM primitives Fenix is built on.
+// rank, exactly as ULFM raises MPI_ERR_PROC_FAILED. Fenix consumes three
+// things from ULFM: those errors, the failure-detection latency, and
+// Revoke; it builds its repaired communicator itself with NewComm.
 //
 // Two failure dispositions are supported, selected per job:
 //

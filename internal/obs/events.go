@@ -24,8 +24,8 @@ const (
 	EvRankExit        = "mpi.rank_exit"
 	EvFailureDetected = "mpi.failure_detected"
 	EvRevoke          = "mpi.revoke"
-	EvShrink          = "mpi.shrink"
-	EvAgree           = "mpi.agree"
+	EvShrink          = "mpi.shrink" // rank -1: a Fenix rebuild compacted its communicator
+	EvAgree           = "mpi.agree"  // emitted by nothing; kept because bench/ reads the name
 
 	// mpi message log: sender-based logging for localized recovery. A send
 	// on the resilient lineage is logged (msg_logged); during recovery,
@@ -120,7 +120,7 @@ const (
 	MFailuresSurvived = "failures_survived_total"
 	MRevokes          = "mpi_revokes_total"
 	MShrinks          = "mpi_shrinks_total"
-	MAgreements       = "mpi_agreements_total"
+	MAgreements       = "mpi_agreements_total" // incremented by nothing; kept because bench/ reads it
 
 	MMsgLogged     = "mpi_msgs_logged_total"
 	MMsgReplayed   = "mpi_msgs_replayed_total"

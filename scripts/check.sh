@@ -37,8 +37,12 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 run_build() {
-    banner "build: go build ./..."
+    banner "build: go build ./..., go vet -C bench ./..."
     go build ./...
+    # bench/ is its own module, so ./... never reaches it: vet it here so a
+    # change that breaks the benchmark's use of the program fails the
+    # build section, not only CI's bench job.
+    go vet -C bench ./...
 }
 
 run_lint() {
