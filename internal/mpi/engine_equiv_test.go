@@ -15,7 +15,7 @@ import (
 	"repro/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/engine_scenario_*.golden from the current output")
+var update = flag.Bool("update", false, "rewrite the testdata/*_scenario_*.golden files from the current output")
 
 // Collective-engine golden transcripts. The rendezvous semantics are
 // pinned by testdata/engine_scenario_{8,64}.golden: the per-rank results,
@@ -174,6 +174,13 @@ func testEngineEquivalence(t *testing.T, n int) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
+	compareGolden(t, path, got, want)
+}
+
+// compareGolden fails the test at the first line where got and want
+// differ; name identifies the file and run in the message.
+func compareGolden(t *testing.T, name string, got, want []byte) {
+	t.Helper()
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -187,18 +194,26 @@ func testEngineEquivalence(t *testing.T, n int) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("%s: first difference at line %d (run with -update if intended):\ngot:  %s\nwant: %s", path, i+1, g, w)
+			t.Fatalf("%s: first difference at line %d (run with -update if intended):\ngot:  %s\nwant: %s", name, i+1, g, w)
 		}
 	}
 }
 
-// golden renders the trace as the golden file's text: transcripts, final
-// clocks in shortest round-trip form (so equality is exact), then the
-// JSONL event stream verbatim.
+// golden renders the trace as the golden file's text: a header, then the
+// body.
 func (tr engineTrace) golden(n int) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# Collective scenario on %d ranks (engine_equiv_test.go).\n", n)
 	fmt.Fprintf(&b, "# Regenerate: go test ./internal/mpi -run 'TestEngineEquivalence%d$' -update\n", n)
+	b.Write(tr.body())
+	return b.Bytes()
+}
+
+// body renders the trace without a header: transcripts, final clocks in
+// shortest round-trip form (so equality is exact), then the JSONL event
+// stream verbatim.
+func (tr engineTrace) body() []byte {
+	var b bytes.Buffer
 	b.WriteString("== transcripts\n")
 	for r, lines := range tr.transcripts {
 		for _, l := range lines {
