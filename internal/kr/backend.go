@@ -33,10 +33,10 @@ func (r blobRegion) SimBytes() int {
 	return len(*r.b)
 }
 
-// VeloCBackend connects a Context to a veloc.Client. In Collective mode it
-// defers version selection to VeloC itself; in Single mode (the paper's
-// modification) it performs the globally-best-version reduction manually
-// over the communicator currently installed by the Context.
+// VeloCBackend connects a Context to a veloc.Client. In either VeloC mode
+// it selects versions with the client's globally-best-version reduction
+// over the communicator currently installed by the Context — in Single
+// mode (the paper's modification) the repaired one.
 type VeloCBackend struct {
 	client *veloc.Client
 	name   string
@@ -51,9 +51,6 @@ func NewVeloCBackend(client *veloc.Client, name string) *VeloCBackend {
 	client.Protect(0, blobRegion{&b.blob, &b.sim})
 	return b
 }
-
-// Client returns the underlying VeloC client.
-func (b *VeloCBackend) Client() *veloc.Client { return b.client }
 
 // Checkpoint persists blob as the given version via VeloC. A version
 // discarded by VeloC's integrity verification surfaces as ErrRejected.
@@ -80,15 +77,10 @@ func (b *VeloCBackend) Restore(version int) ([]byte, error) {
 	return b.blob, nil
 }
 
-// LatestVersion returns the newest version restorable at every rank.
+// LatestVersion returns the newest version restorable at every rank of
+// comm, the communicator the Context has just installed.
 func (b *VeloCBackend) LatestVersion(comm *mpi.Comm) (int, error) {
-	var v int
-	var err error
-	if b.client.Mode() == veloc.Collective {
-		v, err = b.client.LatestVersion(b.name)
-	} else {
-		v, err = b.client.BestCommonVersion(b.name, comm)
-	}
+	v, err := b.client.BestCommonVersion(b.name, comm)
 	if errors.Is(err, veloc.ErrNoCheckpoint) {
 		return 0, ErrNoCheckpoint
 	}

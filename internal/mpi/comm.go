@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -171,18 +172,39 @@ func (c *Comm) Send(p *Proc, dst, tag int, data []byte) error {
 // real buffer length, used when a small real buffer stands in for
 // paper-scale data (see kokkos.View.SimBytes).
 func (c *Comm) SendSized(p *Proc, dst, tag int, data []byte, simBytes int) error {
-	me := c.checkMember(p, "Send")
+	_, err := c.post(p, "Send", dst, tag, data, simBytes, true)
+	return err
+}
+
+// post is the one send path, behind SendSized (blocking) and IsendSized.
+// It fails fast on the sender's own knowledge only (see Send), samples the
+// congested transfer cost, and returns the message's arrival time at dst.
+// A blocking send charges the whole transfer and the message arrives at
+// the sender's new clock; a nonblocking one charges only the post latency
+// and the message arrives one transfer later. On a logged lineage
+// communicator, a send the log already holds is a replayed duplicate and
+// is suppressed; any other is delivered, then logged.
+func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int, blocking bool) (arrive float64, err error) {
+	me := c.checkMember(p, op)
 	dstW := c.WorldRank(dst)
 	if p.obsDead[dstW] {
 		p.waitForDetection([]int{dstW})
-		return c.fail(p, newFailedError([]int{dstW}))
+		return 0, c.fail(p, newFailedError([]int{dstW}))
 	}
 	if c.hasDeparted(p.rank) {
-		return p.failMPI(ErrRevoked)
+		return 0, p.failMPI(ErrRevoked)
 	}
 	cost := p.congest(p.world.machine.TransferTime(simBytes))
-	p.clock.Advance(cost)
-	p.rec.Add(trace.AppMPI, cost)
+	charge := p.world.machine.NetLatency
+	if blocking {
+		charge = cost
+	}
+	p.clock.Advance(charge)
+	p.rec.Add(trace.AppMPI, charge)
+	arrive = p.clock.Now()
+	if !blocking {
+		arrive += cost
+	}
 
 	l := p.msglogOn(c)
 	lkey := p2pKey{src: me, dst: dst, tag: tag}
@@ -194,25 +216,25 @@ func (c *Comm) SendSized(p *Proc, dst, tag int, data []byte, simBytes int) error
 			// incarnation of this program point; suppress the duplicate.
 			p.bumpSend(lkey, seq)
 			p.noteReplay("send", dst, tag)
-			return nil
+			return arrive, nil
 		}
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	c.world.procs[dstW].mail.deliver(
 		msgKey{comm: c.id, src: p.rank, tag: tag},
-		message{data: cp, arriveAt: p.clock.Now(), seq: seq},
+		message{data: cp, arriveAt: arrive, seq: seq},
 	)
 	if l != nil {
 		// Deliver before append: a receiver that sees the log entry is
 		// guaranteed the mailbox copy exists too.
-		l.AppendP2P(lkey, data, simBytes, p.clock.Now())
+		l.AppendP2P(lkey, data, simBytes, arrive)
 		p.bumpSend(lkey, seq)
 		p.Event(obs.LayerMPI, obs.EvMsgLogged, obs.KV("peer", dst), obs.KV("tag", tag), obs.KV("bytes", simBytes))
 		p.world.obs.Registry().Counter(obs.MMsgLogged).Inc()
 		p.msglogGauges(l)
 	}
-	return nil
+	return arrive, nil
 }
 
 // bumpSend advances the send cursor for lkey past seq.
@@ -237,74 +259,72 @@ func (p *Proc) noteReplay(kind string, peer, tag int) {
 // death or departure is always drained first).
 func (c *Comm) Recv(p *Proc, src, tag int) ([]byte, error) {
 	me := c.checkMember(p, "Recv")
-	srcW := c.WorldRank(src)
+	return c.complete(p, p.msglogOn(c), p2pKey{src: src, dst: me, tag: tag}, true)
+}
+
+// complete is the one receive path, behind Recv and Request.Wait. It
+// serves the message on stream lkey from the message log l when l holds
+// the receiver's next entry (a replay, or a send logged before this
+// receive got to the mailbox), dropping the live mailbox copy; otherwise
+// it blocks on the mailbox until the message arrives or the sender dies
+// or departs. The clock advances to the arrival time, then by the
+// completion overhead: the receive latency, congested when `congested` is
+// set (Recv) and plain otherwise (Wait).
+func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte, error) {
+	srcW := c.WorldRank(lkey.src)
+	key := msgKey{comm: c.id, src: srcW, tag: lkey.tag}
 	start := p.clock.Now()
-	key := msgKey{comm: c.id, src: srcW, tag: tag}
-	l := p.msglogOn(c)
-	lkey := p2pKey{src: src, dst: me, tag: tag}
+	var msg message
+	fromLog := false
 	if l != nil {
 		seq := p.logRecv[lkey]
 		if e, ok := l.p2pAt(lkey, seq); ok {
-			return c.recvFromLog(p, l, key, lkey, seq, e, start), nil
+			p.mail.dropThrough(key, seq)
+			msg, fromLog = message{data: bytes.Clone(e.data), arriveAt: e.arriveAt, seq: seq}, true
 		}
 	}
-	var release float64
-	msg, err := p.mail.receive(p, key, func() error {
-		e, rel := c.recvGiveUp(srcW)
-		release = rel
-		return e
-	})
-	if err != nil {
-		// Failures only become observable at their virtual release time.
-		p.clock.AdvanceTo(release)
-		// Account the blocked time up to failure detection.
-		p.rec.Add(trace.AppMPI, p.clock.Now()-start)
-		return nil, c.fail(p, err)
+	if !fromLog {
+		var release float64
+		var err error
+		msg, err = p.mail.receive(p, key, func() error {
+			e, rel := c.recvGiveUp(srcW)
+			release = rel
+			return e
+		})
+		if err != nil {
+			// Failures only become observable at their virtual release time.
+			p.clock.AdvanceTo(release)
+			// Account the blocked time up to failure detection.
+			p.rec.Add(trace.AppMPI, p.clock.Now()-start)
+			return nil, c.fail(p, err)
+		}
 	}
 	p.clock.AdvanceTo(msg.arriveAt)
-	recvOverhead := p.congest(p.world.machine.NetLatency)
-	p.clock.Advance(recvOverhead)
+	overhead := p.world.machine.NetLatency
+	if congested {
+		overhead = p.congest(overhead)
+	}
+	p.clock.Advance(overhead)
 	p.rec.Add(trace.AppMPI, p.clock.Now()-start)
 	if l != nil {
-		p.bumpRecv(l, lkey, msg.seq)
+		p.bumpRecv(l, lkey, msg.seq, fromLog)
 	}
 	return msg.data, nil
 }
 
-// recvFromLog serves one logged message: it consumes the live mailbox copy
-// (if the original send delivered on this communicator), reproduces the
-// logged arrival time, and returns a fresh copy of the payload.
-func (c *Comm) recvFromLog(p *Proc, l *MsgLog, key msgKey, lkey p2pKey, seq int, e p2pEntry, start float64) []byte {
-	p.mail.dropThrough(key, seq)
-	p.clock.AdvanceTo(e.arriveAt)
-	recvOverhead := p.congest(p.world.machine.NetLatency)
-	p.clock.Advance(recvOverhead)
-	p.rec.Add(trace.AppMPI, p.clock.Now()-start)
-	if replay := l.noteConsumed(lkey, seq); replay {
-		p.noteReplay("recv", lkey.src, lkey.tag)
-	}
-	if p.logRecv == nil {
-		p.logRecv = make(map[p2pKey]int)
-	}
-	p.logRecv[lkey] = seq + 1
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return out
-}
-
-// bumpRecv advances the receive cursor for lkey after a live mailbox
-// consumption of the message carrying absolute sequence seq (-1 when the
-// send was unlogged, in which case the cursor simply increments).
-func (p *Proc) bumpRecv(l *MsgLog, lkey p2pKey, seq int) {
+// bumpRecv advances the receive cursor for lkey after consuming the
+// message carrying absolute sequence seq (-1 when the send was unlogged,
+// in which case the cursor simply increments). A consumption served from
+// the log below the stream's high-water mark is a replay, and is noted.
+func (p *Proc) bumpRecv(l *MsgLog, lkey p2pKey, seq int, fromLog bool) {
 	if p.logRecv == nil {
 		p.logRecv = make(map[p2pKey]int)
 	}
 	if seq < 0 {
 		seq = p.logRecv[lkey]
-		p.logRecv[lkey] = seq + 1
-		return
+	} else if replay := l.noteConsumed(lkey, seq); replay && fromLog {
+		p.noteReplay("recv", lkey.src, lkey.tag)
 	}
-	l.noteConsumed(lkey, seq)
 	p.logRecv[lkey] = seq + 1
 }
 

@@ -13,7 +13,7 @@ func TestIsendIrecvRoundTrip(t *testing.T) {
 	payload := []byte("nonblocking payload")
 	runWorld(w, func(p *Proc) error {
 		if p.Rank() == 0 {
-			req, err := c.Isend(p, 1, 5, payload)
+			req, err := c.IsendSized(p, 1, 5, payload, len(payload))
 			if err != nil {
 				return err
 			}
@@ -36,7 +36,7 @@ func TestIsendIrecvRoundTrip(t *testing.T) {
 }
 
 func TestIsendOverlapsComputation(t *testing.T) {
-	// A sender that computes after Isend hides the transfer: its Wait is
+	// A sender that computes after IsendSized hides the transfer: its Wait is
 	// nearly free. A blocking Send charges the transfer up front.
 	size := 1 << 24 // 16 MB -> ~2ms transfer
 
@@ -56,7 +56,7 @@ func TestIsendOverlapsComputation(t *testing.T) {
 	overlapped := testWorld(2)
 	runWorld(overlapped, func(p *Proc) error {
 		if p.Rank() == 0 {
-			req, err := overlapped.CommWorld().Isend(p, 1, 0, make([]byte, size))
+			req, err := overlapped.CommWorld().IsendSized(p, 1, 0, make([]byte, size), size)
 			if err != nil {
 				return err
 			}
@@ -99,7 +99,7 @@ func TestIrecvFromDeadRankFails(t *testing.T) {
 }
 
 func TestIsendToDeadRankFails(t *testing.T) {
-	// Isend fails fast only once the sender has itself observed the
+	// IsendSized fails fast only once the sender has itself observed the
 	// destination's death (here via a failed Recv), like Send.
 	w := testWorld(2)
 	c := w.CommWorld()
@@ -110,7 +110,7 @@ func TestIsendToDeadRankFails(t *testing.T) {
 		if _, err := c.Recv(p, 1, 0); !IsProcessFailure(err) {
 			t.Errorf("recv from dead rank: %v", err)
 		}
-		_, err := c.Isend(p, 1, 0, []byte{1})
+		_, err := c.IsendSized(p, 1, 0, []byte{1}, 1)
 		return err
 	})
 	if !IsProcessFailure(errs[0]) {
@@ -123,7 +123,7 @@ func TestRequestDoubleWait(t *testing.T) {
 	c := w.CommWorld()
 	runWorld(w, func(p *Proc) error {
 		if p.Rank() == 0 {
-			req, err := c.Isend(p, 1, 0, []byte{1})
+			req, err := c.IsendSized(p, 1, 0, []byte{1}, 1)
 			if err != nil {
 				return err
 			}
@@ -147,7 +147,7 @@ func TestWaitAll(t *testing.T) {
 		if p.Rank() == 0 {
 			var reqs []*Request
 			for dst := 1; dst <= 2; dst++ {
-				r, err := c.Isend(p, dst, 0, []byte{byte(dst)})
+				r, err := c.IsendSized(p, dst, 0, []byte{byte(dst)}, 1)
 				if err != nil {
 					return err
 				}
