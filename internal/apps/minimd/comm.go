@@ -25,11 +25,6 @@ const (
 	tagUp     = 23
 )
 
-func (st *state) nGhosts() int {
-	sv := st.views
-	return int(sv.haloSizes.At(hsDownRecv) + sv.haloSizes.At(hsUpRecv))
-}
-
 // setupBorders re-selects the border atoms on a neighbor-rebuild step and
 // exchanges counts and positions with both z-neighbours. Runs inside the
 // Communicator profiling section.

@@ -140,21 +140,3 @@ func (c *CampaignReport) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(c)
 }
-
-// WriteSummary writes the human-readable sweep summary: one line per run
-// plus totals, with full violation text for any failing run.
-func (c *CampaignReport) WriteSummary(w io.Writer, verbose bool) error {
-	var b strings.Builder
-	for _, r := range c.Runs {
-		if verbose || !r.OK() {
-			fmt.Fprintf(&b, "%s\n", r.Line())
-		}
-		for _, viol := range r.Violations {
-			fmt.Fprintf(&b, "    %s\n", viol)
-		}
-	}
-	fmt.Fprintf(&b, "chaos: %d seeds, %d passed, %d violated, %d hung\n",
-		c.Seeds, c.Passed, c.Violated, c.Hangs)
-	_, err := io.WriteString(w, b.String())
-	return err
-}

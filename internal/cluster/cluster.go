@@ -155,25 +155,6 @@ func (n *Node) ScratchDelete(key string) {
 	n.mu.Unlock()
 }
 
-// ScratchKeys returns the number of scratch entries (for tests).
-func (n *Node) ScratchKeys() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.scratch)
-}
-
-// ScratchSimBytes returns the cost-model footprint of all scratch entries,
-// quantifying the node-memory cost of checkpoint staging.
-func (n *Node) ScratchSimBytes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, s := range n.scratch {
-		total += s.simBytes
-	}
-	return total
-}
-
 // ScratchClear drops all scratch contents, modeling node memory loss. A
 // node crash also takes the VeloC server's flush queue with it: queued
 // flushes read from the scratch that was just lost, so they are discarded
@@ -199,19 +180,15 @@ func (n *Node) ScratchClear() {
 	}
 }
 
-// FlushAsync starts an asynchronous flush of the scratch entry under key to
-// the parallel file system as pfsKey, beginning at virtual time start. It
-// returns the virtual completion time. The caller does NOT block: the flush
-// is performed by the simulated VeloC server thread; only the returned
-// completion time matters for later reads and congestion.
-func (n *Node) FlushAsync(key, pfsKey string, start float64) (end float64, err error) {
-	return n.FlushAsyncFor(key, pfsKey, start, NoOwner)
-}
-
-// FlushAsyncFor is FlushAsync with the write attributed to an owner (a
-// world rank). If the owner process fails before the returned completion
-// time, PFS.FailPending marks the write incomplete and it never becomes
-// readable — the flush was interrupted by the failure.
+// FlushAsyncFor starts an asynchronous flush of the scratch entry under
+// key to the parallel file system as pfsKey, beginning at virtual time
+// start, and returns the virtual completion time. The caller does NOT
+// block: the flush is performed by the simulated VeloC server thread; only
+// the returned completion time matters for later reads and congestion.
+// The write is attributed to owner (a world rank, or NoOwner): if the
+// owner process fails before the completion time, PFS.FailPending marks
+// the write incomplete and it never becomes readable — the flush was
+// interrupted by the failure.
 func (n *Node) FlushAsyncFor(key, pfsKey string, start float64, owner int) (end float64, err error) {
 	n.mu.Lock()
 	s, ok := n.scratch[key]
@@ -259,20 +236,6 @@ func (n *Node) InFlightAt(t float64) int {
 	return depth
 }
 
-// LastFlushEnd returns the latest flush completion time recorded on this
-// node, or 0 if none.
-func (n *Node) LastFlushEnd() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var end float64
-	for _, w := range n.flushes {
-		if w.end > end {
-			end = w.end
-		}
-	}
-	return end
-}
-
 // NoOwner marks a PFS write not attributed to any process; it can never be
 // interrupted by a failure.
 const NoOwner = -1
@@ -311,40 +274,24 @@ func NewPFS(machine *sim.Machine) *PFS {
 // sharing the aggregate cap with every other flush overlapping the start
 // time, which is the management-node bottleneck.
 func (p *PFS) Write(key string, data []byte, start float64) (end float64) {
-	return p.WriteSized(key, data, start, len(data))
+	return p.WriteSizedFor(key, data, start, len(data), NoOwner)
 }
 
-// WriteSized is Write with the cost model charged for simBytes instead of
-// the real buffer length.
-func (p *PFS) WriteSized(key string, data []byte, start float64, simBytes int) (end float64) {
-	return p.WriteSizedFor(key, data, start, simBytes, NoOwner)
-}
-
-// WriteSizedFor is WriteSized with the write attributed to an owner world
+// WriteSizedFor is Write with the cost model charged for simBytes instead
+// of the real buffer length, and the write attributed to an owner world
 // rank, allowing FailPending to invalidate it if the owner dies mid-write.
 func (p *PFS) WriteSizedFor(key string, data []byte, start float64, simBytes int, owner int) (end float64) {
 	return p.write(key, slices.Clone(data), start, simBytes, owner, 0)
-}
-
-// WriteSharedFor is WriteSizedFor with the congestion divisor fixed by the
-// caller: share is the number of writers known to contend for the aggregate
-// bandwidth — for a synchronized checkpoint, every rank of the committing
-// communicator. The arrival-count model below depends on the real-time
-// order in which concurrent writers reach the PFS, which is fine for the
-// unmanaged legacy path but a replay-determinism hazard once a world-sized
-// flush storm ties on virtual time (32 scheduler goroutines racing for the
-// ladder of congestion shares); scheduled flushes therefore carry an
-// explicit share instead.
-func (p *PFS) WriteSharedFor(key string, data []byte, start float64, simBytes int, owner, share int) (end float64) {
-	return p.write(key, slices.Clone(data), start, simBytes, owner, share)
 }
 
 // write stores data under key and takes ownership of it: the caller must
 // never mutate data afterwards (node flushes pass their immutable scratch
 // blob; the public wrappers pass a private copy). With share > 0 the
 // effective bandwidth is the aggregate cap split share ways (capped per
-// client); otherwise the divisor is counted from already-recorded writes
-// still in flight at start.
+// client): a scheduled flush of a synchronized checkpoint passes the
+// number of ranks committing it. Otherwise the divisor is counted from
+// already-recorded writes still in flight at start, which depends on the
+// real-time order in which concurrent writers reach the PFS.
 func (p *PFS) write(key string, data []byte, start float64, simBytes int, owner, share int) (end float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -378,8 +325,8 @@ func (p *PFS) endsAfterLocked(t float64) int {
 // FailPending marks every still-in-flight write owned by the given world
 // rank incomplete, as of the owner's death time t: a write whose
 // availability lies in the future was being performed by the owner's
-// (now dead) node server and never finishes. Incomplete files are
-// invisible to Read/Exists/SimBytesOf; restore paths must fall back to an
+// (now dead) node server and never finishes. Such files are invisible
+// to Read/Exists/SimBytesOf; restore paths must fall back to an
 // older complete version.
 func (p *PFS) FailPending(owner int, t float64) {
 	if owner == NoOwner {
@@ -393,14 +340,6 @@ func (p *PFS) FailPending(owner int, t float64) {
 			p.files[key] = f
 		}
 	}
-}
-
-// Incomplete reports whether key names a write that was interrupted by its
-// owner's failure (for tests and invariant checks).
-func (p *PFS) Incomplete(key string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.files[key].incomplete
 }
 
 // Read returns a copy of the data under key. ready is the virtual time at

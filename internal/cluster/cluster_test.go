@@ -93,14 +93,16 @@ func TestScratchMissingAndDelete(t *testing.T) {
 	n.ScratchWrite("a", []byte{1})
 	n.ScratchWrite("b", []byte{2})
 	n.ScratchClear()
-	if n.ScratchKeys() != 0 {
-		t.Fatal("ScratchClear left entries")
+	for _, k := range []string{"a", "b"} {
+		if _, _, ok := n.ScratchRead(k); ok {
+			t.Fatalf("ScratchClear left entry %q", k)
+		}
 	}
 }
 
 func TestFlushAsyncMissingKey(t *testing.T) {
 	n := New(1, testMachine()).Node(0)
-	if _, err := n.FlushAsync("missing", "pfs/x", 0); err == nil {
+	if _, err := n.FlushAsyncFor("missing", "pfs/x", 0, NoOwner); err == nil {
 		t.Fatal("flush of missing key did not error")
 	}
 }
@@ -110,7 +112,7 @@ func TestFlushCreatesCongestionWindow(t *testing.T) {
 	n := c.Node(0)
 	data := make([]byte, 1<<27) // 128 MB
 	n.ScratchWrite("ck", data)
-	end, err := n.FlushAsync("ck", "pfs/ck", 10.0)
+	end, err := n.FlushAsyncFor("ck", "pfs/ck", 10.0, NoOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +127,6 @@ func TestFlushCreatesCongestionWindow(t *testing.T) {
 	}
 	if n.CongestedAt(9.9) {
 		t.Fatal("node congested before flush start")
-	}
-	if got := n.LastFlushEnd(); got != end {
-		t.Fatalf("LastFlushEnd = %v, want %v", got, end)
 	}
 }
 
@@ -295,7 +294,7 @@ func TestFlushWindowPruning(t *testing.T) {
 	n.ScratchWrite("k", make([]byte, 1024))
 	// Many flushes far apart in virtual time: list must stay bounded.
 	for i := 0; i < 500; i++ {
-		if _, err := n.FlushAsync("k", "p", float64(i)*100); err != nil {
+		if _, err := n.FlushAsyncFor("k", "p", float64(i)*100, NoOwner); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -74,7 +74,7 @@ type FlushRequest struct {
 	// queued requests with the same key and Version <= its own.
 	Version int
 	// Share, when positive, fixes the PFS congestion divisor for this write
-	// (PFS.WriteSharedFor): the number of ranks flushing the same
+	// (the share argument of PFS.write): the number of ranks flushing the same
 	// synchronized checkpoint. Zero falls back to the arrival-count model,
 	// whose bandwidth shares depend on the real-time order in which racing
 	// writers reach the PFS — not replay-deterministic under world-sized

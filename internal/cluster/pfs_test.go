@@ -136,10 +136,8 @@ func TestPFSWriteMatchesLinearReference(t *testing.T) {
 
 func TestPFSWriteCopiesCallerBuffer(t *testing.T) {
 	writes := map[string]func(p *PFS, data []byte) float64{
-		"Write":          func(p *PFS, d []byte) float64 { return p.Write("f", d, 0) },
-		"WriteSized":     func(p *PFS, d []byte) float64 { return p.WriteSized("f", d, 0, 1<<20) },
-		"WriteSizedFor":  func(p *PFS, d []byte) float64 { return p.WriteSizedFor("f", d, 0, 1<<20, 3) },
-		"WriteSharedFor": func(p *PFS, d []byte) float64 { return p.WriteSharedFor("f", d, 0, 1<<20, 3, 8) },
+		"Write":         func(p *PFS, d []byte) float64 { return p.Write("f", d, 0) },
+		"WriteSizedFor": func(p *PFS, d []byte) float64 { return p.WriteSizedFor("f", d, 0, 1<<20, 3) },
 	}
 	for name, write := range writes {
 		p := NewPFS(testMachine())
@@ -173,7 +171,7 @@ func TestFlushedBlobSurvivesScratchChanges(t *testing.T) {
 	t.Run("async", func(t *testing.T) {
 		n := New(1, testMachine()).Node(0)
 		n.ScratchWrite("ck", want)
-		end, err := n.FlushAsync("ck", "pfs/ck", 0)
+		end, err := n.FlushAsyncFor("ck", "pfs/ck", 0, NoOwner)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +204,7 @@ func TestFlushDoesNotCopyScratchBlob(t *testing.T) {
 	start := 0.0
 	flush := func() {
 		start += 10
-		if _, err := n.FlushAsync("ck", "pfs/ck", start); err != nil {
+		if _, err := n.FlushAsyncFor("ck", "pfs/ck", start, NoOwner); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func TestPFSWriteSizedChargesSimSize(t *testing.T) {
 	m := testMachine()
 	p := NewPFS(m)
 	endSmall := p.Write("a", make([]byte, 64), 0)
-	endBig := p.WriteSized("b", make([]byte, 64), 0, 1<<30)
+	endBig := p.WriteSizedFor("b", make([]byte, 64), 0, 1<<30, NoOwner)
 	if endBig <= endSmall {
 		t.Fatalf("sized flush end %v not after unsized %v", endBig, endSmall)
 	}
@@ -47,7 +47,7 @@ func TestFlushAsyncUsesSimSize(t *testing.T) {
 	c := New(1, m)
 	n := c.Node(0)
 	n.ScratchWriteSized("k", make([]byte, 64), 1<<30) // 1 GB simulated
-	end, err := n.FlushAsync("k", "pfs/k", 0)
+	end, err := n.FlushAsyncFor("k", "pfs/k", 0, NoOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,22 +58,9 @@ func TestFlushAsyncUsesSimSize(t *testing.T) {
 }
 
 func TestStorageAccounting(t *testing.T) {
-	m := testMachine()
-	c := New(2, m)
-	n := c.Node(0)
-	n.ScratchWriteSized("a", make([]byte, 16), 1000)
-	n.ScratchWriteSized("b", make([]byte, 16), 2000)
-	if got := n.ScratchSimBytes(); got != 3000 {
-		t.Fatalf("ScratchSimBytes = %d", got)
-	}
-	n.ScratchDelete("a")
-	if got := n.ScratchSimBytes(); got != 2000 {
-		t.Fatalf("after delete = %d", got)
-	}
-
-	p := c.PFS()
-	p.WriteSized("x", make([]byte, 8), 0, 500)
-	p.WriteSized("y", make([]byte, 8), 0, 700)
+	p := New(2, testMachine()).PFS()
+	p.WriteSizedFor("x", make([]byte, 8), 0, 500, NoOwner)
+	p.WriteSizedFor("y", make([]byte, 8), 0, 700, NoOwner)
 	if got := p.SimBytes(); got != 1200 {
 		t.Fatalf("PFS SimBytes = %d", got)
 	}

@@ -85,9 +85,6 @@ type Config struct {
 	// message log depends on — stable. Substitutions from the reserve are
 	// surfaced as `rehosted` on the rebuild event.
 	RehostReserve int
-	// OnRecover, if set, runs on every rank after communicator repair,
-	// before the application body is re-entered (Fenix recovery callback).
-	OnRecover func(*Context)
 }
 
 // Context is one rank's Fenix handle, valid for the duration of Run.
@@ -173,9 +170,6 @@ func Run(p *mpi.Proc, cfg Config, body Body) error {
 		if rerr := rt.recover(ctx); rerr != nil {
 			rt.finalize(ctx)
 			return rerr
-		}
-		if cfg.OnRecover != nil {
-			cfg.OnRecover(ctx)
 		}
 	}
 }

@@ -260,34 +260,6 @@ func TestShrinkOnExhaustion(t *testing.T) {
 	checkNoErrs(t, errs, 1)
 }
 
-func TestOnRecoverCallback(t *testing.T) {
-	var mu sync.Mutex
-	called := 0
-	cfg := Config{Spares: 1, OnRecover: func(ctx *Context) {
-		mu.Lock()
-		called++
-		mu.Unlock()
-	}}
-	errs, _ := runFenix(3, cfg, func(ctx *Context) error {
-		if ctx.Role() == RoleInitial && ctx.p.Rank() == 0 {
-			ctx.p.Exit()
-		}
-		if _, err := ctx.Comm().AllreduceInt(ctx.p, 1, mpi.OpSum); err != nil {
-			return err
-		}
-		return nil
-	})
-	checkNoErrs(t, errs)
-	mu.Lock()
-	defer mu.Unlock()
-	// One survivor re-entry; the recovered spare's first entry goes
-	// through activation, not recover, so only the survivor count is
-	// guaranteed.
-	if called == 0 {
-		t.Fatal("OnRecover never called")
-	}
-}
-
 func TestInvalidSpareCount(t *testing.T) {
 	w := newWorld(2)
 	err := Run(w.Proc(0), Config{Spares: 2}, func(ctx *Context) error { return nil })

@@ -74,7 +74,7 @@ type Complexity struct {
 var mpiMethods = map[string]bool{
 	"Send": true, "Recv": true, "Sendrecv": true,
 	"SendSized": true, "SendrecvSized": true,
-	"Isend": true, "IsendSized": true, "Irecv": true,
+	"IsendSized": true, "Irecv": true,
 	"Wait": true, "WaitAll": true,
 	"Barrier": true, "AllreduceF64": true, "AllreduceInt": true,
 }

@@ -25,15 +25,6 @@ func Example() {
 	// false
 }
 
-// ParallelReduce is deterministic: partials combine in chunk order.
-func ExampleExecSpace_ParallelReduce() {
-	e := kokkos.NewExecSpace(4)
-	sum := e.ParallelReduce(1000, func(i int) float64 { return float64(i) })
-	fmt.Println(sum)
-	// Output:
-	// 499500
-}
-
 // Serialization round-trips view contents exactly.
 func ExampleF64View_Serialize() {
 	v := kokkos.NewF64("state", 3)

@@ -5,10 +5,9 @@ import (
 	"sync"
 )
 
-// ExecSpace is a host execution space dispatching parallel patterns over a
-// fixed worker count. Results are deterministic: ranges are partitioned into
-// contiguous chunks and reduction partials are combined in chunk order
-// regardless of completion order.
+// ExecSpace is a host execution space dispatching parallel loops over a
+// fixed worker count: ranges are partitioned into contiguous chunks, one
+// goroutine per chunk.
 type ExecSpace struct {
 	workers int
 }
@@ -24,9 +23,6 @@ func NewExecSpace(workers int) *ExecSpace {
 	}
 	return &ExecSpace{workers: workers}
 }
-
-// Workers returns the space's concurrency.
-func (e *ExecSpace) Workers() int { return e.workers }
 
 // chunks partitions [0,n) into at most e.workers contiguous ranges.
 func (e *ExecSpace) chunks(n int) [][2]int {
@@ -72,72 +68,4 @@ func (e *ExecSpace) ParallelFor(n int, f func(i int)) {
 		}(c[0], c[1])
 	}
 	wg.Wait()
-}
-
-// ParallelReduce sums f(i) over [0,n) deterministically: per-chunk partials
-// are accumulated in index order within each chunk and combined in chunk
-// order, so the result is bitwise reproducible for a given worker count.
-func (e *ExecSpace) ParallelReduce(n int, f func(i int) float64) float64 {
-	cs := e.chunks(n)
-	if len(cs) == 0 {
-		return 0
-	}
-	if len(cs) == 1 {
-		var acc float64
-		for i := 0; i < n; i++ {
-			acc += f(i)
-		}
-		return acc
-	}
-	partials := make([]float64, len(cs))
-	var wg sync.WaitGroup
-	for ci, c := range cs {
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			var acc float64
-			for i := lo; i < hi; i++ {
-				acc += f(i)
-			}
-			partials[ci] = acc
-		}(ci, c[0], c[1])
-	}
-	wg.Wait()
-	var acc float64
-	for _, p := range partials {
-		acc += p
-	}
-	return acc
-}
-
-// ParallelReduceMax returns the maximum of f(i) over [0,n), or 0 for an
-// empty range.
-func (e *ExecSpace) ParallelReduceMax(n int, f func(i int) float64) float64 {
-	cs := e.chunks(n)
-	if len(cs) == 0 {
-		return 0
-	}
-	partials := make([]float64, len(cs))
-	var wg sync.WaitGroup
-	for ci, c := range cs {
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			acc := f(lo)
-			for i := lo + 1; i < hi; i++ {
-				if v := f(i); v > acc {
-					acc = v
-				}
-			}
-			partials[ci] = acc
-		}(ci, c[0], c[1])
-	}
-	wg.Wait()
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		if p > acc {
-			acc = p
-		}
-	}
-	return acc
 }

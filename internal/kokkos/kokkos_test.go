@@ -206,51 +206,6 @@ func TestParallelForEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestParallelReduceMatchesSerial(t *testing.T) {
-	vals := make([]float64, 10007)
-	for i := range vals {
-		vals[i] = float64(i%97) * 0.125
-	}
-	var want float64
-	for _, v := range vals {
-		want += v
-	}
-	e := NewExecSpace(4)
-	got := e.ParallelReduce(len(vals), func(i int) float64 { return vals[i] })
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("reduce = %v, want %v", got, want)
-	}
-}
-
-func TestParallelReduceDeterministic(t *testing.T) {
-	e := NewExecSpace(8)
-	f := func(i int) float64 { return math.Sin(float64(i)) * 1e10 }
-	a := e.ParallelReduce(5000, f)
-	for k := 0; k < 10; k++ {
-		if b := e.ParallelReduce(5000, f); b != a {
-			t.Fatalf("non-deterministic reduce: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestParallelReduceEmpty(t *testing.T) {
-	if got := NewExecSpace(4).ParallelReduce(0, func(int) float64 { return 1 }); got != 0 {
-		t.Fatalf("empty reduce = %v", got)
-	}
-}
-
-func TestParallelReduceMax(t *testing.T) {
-	e := NewExecSpace(3)
-	vals := []float64{-5, 3, 9, -2, 9.5, 0}
-	got := e.ParallelReduceMax(len(vals), func(i int) float64 { return vals[i] })
-	if got != 9.5 {
-		t.Fatalf("max = %v", got)
-	}
-	if NewExecSpace(2).ParallelReduceMax(0, func(int) float64 { return 1 }) != 0 {
-		t.Fatal("empty max != 0")
-	}
-}
-
 func TestChunksPartition(t *testing.T) {
 	e := NewExecSpace(4)
 	cs := e.chunks(10)
@@ -272,25 +227,10 @@ func TestChunksPartition(t *testing.T) {
 }
 
 func TestWorkersDefault(t *testing.T) {
-	if NewExecSpace(0).Workers() <= 0 {
+	if NewExecSpace(0).workers <= 0 {
 		t.Fatal("default workers not positive")
 	}
-	if NewExecSpace(5).Workers() != 5 {
+	if NewExecSpace(5).workers != 5 {
 		t.Fatal("explicit workers ignored")
-	}
-}
-
-func Test3DIndexing(t *testing.T) {
-	v := NewF64("cube", 2, 3, 4)
-	v.Set3(1, 2, 3, 9.5)
-	if v.At3(1, 2, 3) != 9.5 {
-		t.Fatal("3-D indexing broken")
-	}
-	// Flat index: (1*3+2)*4+3 = 23.
-	if v.At(23) != 9.5 {
-		t.Fatal("3-D flat layout wrong")
-	}
-	if v.Len() != 24 {
-		t.Fatalf("len %d", v.Len())
 	}
 }

@@ -122,16 +122,6 @@ func (v *F64View) At2(i, j int) float64 { return v.data[i*v.shape[1]+j] }
 // Set2 assigns into a 2-D view.
 func (v *F64View) Set2(i, j int, x float64) { v.data[i*v.shape[1]+j] = x }
 
-// At3 indexes a 3-D view.
-func (v *F64View) At3(i, j, k int) float64 {
-	return v.data[(i*v.shape[1]+j)*v.shape[2]+k]
-}
-
-// Set3 assigns into a 3-D view.
-func (v *F64View) Set3(i, j, k int, x float64) {
-	v.data[(i*v.shape[1]+j)*v.shape[2]+k] = x
-}
-
 // ElemSize returns 8.
 func (v *F64View) ElemSize() int { return 8 }
 

@@ -78,15 +78,6 @@ func (c Census) Bytes() (checkpointed, alias, skipped int) {
 // TotalViews returns the number of captured view objects.
 func (c Census) TotalViews() int { return len(c.Records) }
 
-// TotalBytes returns the memory footprint of all captured view objects.
-func (c Census) TotalBytes() int {
-	t := 0
-	for _, r := range c.Records {
-		t += r.Bytes
-	}
-	return t
-}
-
 // CheckpointedViews returns the unique views that are serialized into
 // checkpoints, in capture order.
 func (c Census) CheckpointedViews() []kokkos.View { return c.checkpointed }

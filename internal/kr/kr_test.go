@@ -59,8 +59,8 @@ func TestCensusClassification(t *testing.T) {
 	if ckB != 800+400 || alB != 800 || skB != 800 {
 		t.Fatalf("bytes = %d/%d/%d", ckB, alB, skB)
 	}
-	if c.TotalViews() != 4 || c.TotalBytes() != 2800 {
-		t.Fatalf("totals = %d views %d bytes", c.TotalViews(), c.TotalBytes())
+	if c.TotalViews() != 4 {
+		t.Fatalf("total = %d views", c.TotalViews())
 	}
 	cv := c.CheckpointedViews()
 	if len(cv) != 2 || cv[0].Label() != "x" || cv[1].Label() != "v" {
@@ -85,7 +85,7 @@ func TestCensusDryViews(t *testing.T) {
 
 func TestCensusEmptyAndClassString(t *testing.T) {
 	c := CensusOf(nil, nil)
-	if c.TotalViews() != 0 || c.TotalBytes() != 0 {
+	if c.TotalViews() != 0 {
 		t.Fatal("empty census not empty")
 	}
 	if Checkpointed.String() != "Checkpointed" || Alias.String() != "Alias" || Skipped.String() != "Skipped" {
@@ -353,27 +353,6 @@ func TestBodyErrorPropagates(t *testing.T) {
 		err := ctx.Checkpoint("loop", 0, nil, func() error { return bodyErr })
 		if !errors.Is(err, bodyErr) {
 			t.Errorf("err = %v", err)
-		}
-		return nil
-	})
-}
-
-func TestFilterOverridesInterval(t *testing.T) {
-	runRanks(t, 1, func(p *mpi.Proc) error {
-		cfg := Config{
-			Interval:         1,
-			Filter:           func(iter int) bool { return iter == 2 },
-			RestoreSurvivors: true,
-		}
-		ctx := makeVeloCCtx(t, p, p.World().CommWorld(), veloc.Collective, cfg)
-		x := kokkos.NewF64("x", 2)
-		for i := 0; i < 4; i++ {
-			if err := ctx.Checkpoint("loop", i, []kokkos.View{x}, func() error { return nil }); err != nil {
-				return err
-			}
-		}
-		if ctx.LatestVersion() != 2 {
-			t.Errorf("latest = %d, want 2 (filter)", ctx.LatestVersion())
 		}
 		return nil
 	})

@@ -122,16 +122,6 @@ func (r *JobResult) Err() error {
 	return nil
 }
 
-// MeanTimes returns the across-rank mean of each category, the aggregation
-// the paper's stacked bars use.
-func (r *JobResult) MeanTimes() trace.Times {
-	var sum trace.Times
-	for _, t := range r.PerRank {
-		sum = sum.Add(t)
-	}
-	return sum.Scale(1 / float64(len(r.PerRank)))
-}
-
 // rankOutcome classifies how one rank goroutine ended.
 type rankOutcome struct {
 	err      error

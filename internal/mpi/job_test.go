@@ -24,7 +24,7 @@ func TestRunJobCleanRun(t *testing.T) {
 	if res.WallTime < minWall {
 		t.Fatalf("WallTime = %v, want >= %v", res.WallTime, minWall)
 	}
-	if res.MeanTimes().Get(trace.AppCompute) <= 0 {
+	if res.PerRank[0].Get(trace.AppCompute) <= 0 {
 		t.Fatal("no compute time recorded")
 	}
 }
@@ -186,17 +186,4 @@ func TestRunJobPanicsPropagate(t *testing.T) {
 	RunJob(JobConfig{Ranks: 1, Seed: 1}, func(p *Proc) error {
 		panic("bug in app")
 	})
-}
-
-func TestMeanTimesAveragesRanks(t *testing.T) {
-	res := RunJob(JobConfig{Ranks: 2, Machine: quietMachine(), Seed: 1}, func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.ComputeExact(2e9) // 1s
-		}
-		return nil
-	})
-	got := res.MeanTimes().Get(trace.AppCompute)
-	if got < 0.49 || got > 0.51 {
-		t.Fatalf("mean compute = %v, want ~0.5", got)
-	}
 }

@@ -17,15 +17,10 @@ type Label struct{ Key, Value string }
 // L builds a label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Default histogram bucket bounds, in ascending order (+Inf is implicit).
-var (
-	// TimeBuckets suits virtual-second latencies (checkpoint sync cost,
-	// flush duration).
-	TimeBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60, 600}
-	// SizeBuckets suits byte sizes at the paper's 64 MB–4 GB-per-rank
-	// scales.
-	SizeBuckets = []float64{1 << 10, 1 << 16, 1 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30, 4 << 30}
-)
+// TimeBuckets are the default histogram bucket bounds, in ascending order
+// (+Inf is implicit), suited to virtual-second latencies (checkpoint sync
+// cost, flush duration).
+var TimeBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60, 600}
 
 // Counter is a monotonically increasing metric. A nil Counter (from a nil
 // Registry) discards all updates.

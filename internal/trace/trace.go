@@ -145,9 +145,6 @@ func (r *Recorder) EndSection() { r.section = -1 }
 // compute time counts as Recompute (work redone after a failure).
 func (r *Recorder) SetRecompute(on bool) { r.recompute = on }
 
-// Recomputing reports whether recompute attribution is active.
-func (r *Recorder) Recomputing() bool { return r.recompute }
-
 // Move reattributes d seconds from category `from` to category `to`,
 // clamped to the amount actually recorded in `from`. Resilience layers use
 // it to fold MPI time spent inside their primitives (e.g. the IMR buddy
@@ -166,27 +163,11 @@ func (r *Recorder) Move(from, to Category, d float64) {
 // Get returns the accumulated seconds in category c.
 func (r *Recorder) Get(c Category) float64 { return r.totals[c] }
 
-// Total returns the sum over all recorded categories.
-func (r *Recorder) Total() float64 {
-	var s float64
-	for _, v := range r.totals {
-		s += v
-	}
-	return s
-}
-
 // Snapshot returns a copy of the per-category totals.
 func (r *Recorder) Snapshot() Times {
 	var t Times
 	copy(t[:], r.totals[:])
 	return t
-}
-
-// Reset zeroes all totals and clears redirections.
-func (r *Recorder) Reset() {
-	r.totals = [numCategories]float64{}
-	r.section = -1
-	r.recompute = false
 }
 
 // Times is an immutable per-category snapshot.
@@ -213,35 +194,11 @@ func (t Times) Add(o Times) Times {
 	return out
 }
 
-// Sub returns the element-wise difference t - o, clamped at zero.
-func (t Times) Sub(o Times) Times {
-	var out Times
-	for i := range t {
-		out[i] = t[i] - o[i]
-		if out[i] < 0 {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
 // Scale returns t with every category multiplied by f.
 func (t Times) Scale(f float64) Times {
 	var out Times
 	for i := range t {
 		out[i] = t[i] * f
-	}
-	return out
-}
-
-// Max returns the element-wise maximum of two snapshots.
-func (t Times) Max(o Times) Times {
-	var out Times
-	for i := range t {
-		out[i] = t[i]
-		if o[i] > out[i] {
-			out[i] = o[i]
-		}
 	}
 	return out
 }

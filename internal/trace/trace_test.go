@@ -40,7 +40,7 @@ func TestRecorderBasicAccumulation(t *testing.T) {
 	if got := r.Get(AppMPI); got != 0.5 {
 		t.Fatalf("AppMPI = %v, want 0.5", got)
 	}
-	if got := r.Total(); got != 3.5 {
+	if got := r.Snapshot().Total(); got != 3.5 {
 		t.Fatalf("Total = %v, want 3.5", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestRecorderBasicAccumulation(t *testing.T) {
 func TestRecorderZeroIsNoop(t *testing.T) {
 	r := NewRecorder()
 	r.Add(AppCompute, 0)
-	if r.Total() != 0 {
+	if r.Snapshot().Total() != 0 {
 		t.Fatal("zero add changed totals")
 	}
 }
@@ -92,9 +92,6 @@ func TestBeginSectionRejectsNonSection(t *testing.T) {
 func TestRecomputeRedirection(t *testing.T) {
 	r := NewRecorder()
 	r.SetRecompute(true)
-	if !r.Recomputing() {
-		t.Fatal("Recomputing() = false after SetRecompute(true)")
-	}
 	r.Add(AppCompute, 4)
 	r.Add(AppMPI, 2)
 	r.SetRecompute(false)
@@ -130,12 +127,9 @@ func TestSnapshotAndReset(t *testing.T) {
 	r := NewRecorder()
 	r.Add(CheckpointFunc, 1.25)
 	snap := r.Snapshot()
-	r.Reset()
-	if r.Total() != 0 {
-		t.Fatal("Reset did not clear totals")
-	}
+	r.Add(CheckpointFunc, 1)
 	if snap.Get(CheckpointFunc) != 1.25 {
-		t.Fatal("snapshot mutated by reset")
+		t.Fatal("snapshot mutated by a later Add")
 	}
 }
 
@@ -150,20 +144,9 @@ func TestTimesArithmetic(t *testing.T) {
 	if sum.Get(AppCompute) != 2.5 || sum.Get(DataRecovery) != 3 {
 		t.Fatalf("Add wrong: %v", sum)
 	}
-	diff := a.Sub(b)
-	if diff.Get(AppCompute) != 1.5 {
-		t.Fatalf("Sub wrong: %v", diff)
-	}
-	if diff.Get(DataRecovery) != 0 {
-		t.Fatal("Sub must clamp at zero")
-	}
 	sc := a.Scale(2)
 	if sc.Get(AppCompute) != 4 || sc.Get(AppMPI) != 2 {
 		t.Fatalf("Scale wrong: %v", sc)
-	}
-	mx := a.Max(b)
-	if mx.Get(AppCompute) != 2 || mx.Get(DataRecovery) != 3 {
-		t.Fatalf("Max wrong: %v", mx)
 	}
 }
 
@@ -202,7 +185,7 @@ func TestTimesTotalMatchesSum(t *testing.T) {
 		r.Add(AppCompute, a)
 		r.Add(AppMPI, b)
 		r.Add(CheckpointFunc, c)
-		return math.Abs(r.Total()-(a+b+c)) < 1e-9*(1+a+b+c)
+		return math.Abs(r.Snapshot().Total()-(a+b+c)) < 1e-9*(1+a+b+c)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

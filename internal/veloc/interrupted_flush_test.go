@@ -62,7 +62,7 @@ func TestRestartSkipsInterruptedFlush(t *testing.T) {
 			t.Errorf("restored %q, want generation-one data", restored)
 		}
 
-		// Recomputing forward must be able to overwrite the interrupted
+		// Recomputation forward must be able to overwrite the interrupted
 		// version: a re-written checkpoint 2 becomes the restart point once
 		// its flush completes.
 		copy(restored, []byte("generation-2b!-data"))
