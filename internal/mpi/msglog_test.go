@@ -38,15 +38,19 @@ func TestMsgLogTrimMath(t *testing.T) {
 	}
 
 	// One slot committing moves nothing: the watermark is a min over all.
-	if w, n := l.NoteCommit(0, 5); w != -1 || n != 0 {
+	// Slot 0 commits at a later virtual time than slot 1 does below, as a
+	// slow rank's commit can complete in wall-clock order before a fast
+	// rank's: the watermark is reached at the later virtual time either
+	// way.
+	if w, n, _ := l.NoteCommit(0, 5, 3.0); w != -1 || n != 0 {
 		t.Fatalf("single-slot commit advanced the watermark: (%d, %d)", w, n)
 	}
 	// The second commit completes version 5 everywhere: the epoch-0 prefix
 	// (2 p2p + 1 coll, 250 sim bytes) is below every boundary-5 cursor and
 	// must go; the epoch-1 entries survive.
-	w, n := l.NoteCommit(1, 5)
-	if w != 5 || n != 3 {
-		t.Fatalf("full commit -> (watermark %d, trimmed %d), want (5, 3)", w, n)
+	w, n, at := l.NoteCommit(1, 5, 2.0)
+	if w != 5 || n != 3 || at != 3.0 {
+		t.Fatalf("full commit -> (watermark %d, trimmed %d, at %v), want (5, 3, 3)", w, n, at)
 	}
 	entries, bytes, trimmed, _ := l.Stats()
 	if entries != 3 || bytes != 250 || trimmed != 3 {
@@ -71,7 +75,7 @@ func TestMsgLogTrimMath(t *testing.T) {
 	}()
 
 	// A stale commit (version <= watermark) never re-trims or regresses.
-	if w, n := l.NoteCommit(0, 4); w != 5 || n != 0 {
+	if w, n, _ := l.NoteCommit(0, 4, 4.0); w != 5 || n != 0 {
 		t.Fatalf("stale commit moved the watermark: (%d, %d)", w, n)
 	}
 }

@@ -358,23 +358,23 @@ func (p *Proc) MsgLogResetOnce(gen int) {
 }
 
 // MsgLogCommit records that logical slot `slot` committed checkpoint
-// version `version`, advancing the GC watermark and trimming unreachable
-// entries when every slot has committed. It updates the log-size gauges
-// and emits mpi.msg_log_trim when entries were dropped.
+// version `version` at this process's current time, advancing the GC
+// watermark and trimming unreachable entries when every slot has
+// committed. It updates the log-size gauges and, when entries were
+// dropped, emits mpi.msg_log_trim with rank -1 at the virtual time the
+// watermark was reached — not at the clock of whichever slot's commit
+// happened to complete it first in wall-clock order.
 func (p *Proc) MsgLogCommit(slot, version int) {
 	l := p.world.msglog
 	if !l.Active() {
 		return
 	}
-	water, trimmed := l.NoteCommit(slot, version)
+	water, trimmed, reached := l.NoteCommit(slot, version, p.clock.Now())
 	p.msglogGauges(l)
 	if trimmed > 0 {
-		reg := p.world.obs.Registry()
-		reg.Counter(obs.MMsgLogTrimmed).Add(float64(trimmed))
-		entries, bytes, _, _ := l.Stats()
-		p.Event(obs.LayerMPI, obs.EvMsgLogTrim,
-			obs.KV("watermark", water), obs.KV("trimmed", trimmed),
-			obs.KV("entries", entries), obs.KV("bytes", bytes))
+		p.world.obs.Registry().Counter(obs.MMsgLogTrimmed).Add(float64(trimmed))
+		p.world.obs.Emit(reached, -1, obs.LayerMPI, obs.EvMsgLogTrim,
+			obs.KV("watermark", water), obs.KV("trimmed", trimmed))
 	}
 }
 
