@@ -214,15 +214,17 @@ run_chaos() {
     grep -q '"flushes_started": 175' "$tmp/stormrun2.json"
 
     banner "chaos: seed 14 replay (localized, heatdis; goroutine vs pool)"
-    go run ./cmd/chaos -seed 14 -json "$tmp/loc.json"
+    go run ./cmd/chaos -seed 14 -json "$tmp/loc.json" -events "$tmp/loc-events.jsonl"
     grep -q '"failures_repaired": 1' "$tmp/loc.json"
     grep -q '"msgs_logged": 168' "$tmp/loc.json"
     grep -q '"msgs_replayed": 19' "$tmp/loc.json"
     grep -q '"msgs_trimmed": 161' "$tmp/loc.json"
     # Exec scheduling must not change the virtual outcome: the pool-mode
-    # report is bitwise identical apart from the echoed -exec override.
-    go run ./cmd/chaos -seed 14 -exec pool -json "$tmp/loc-pool.json"
+    # report is bitwise identical apart from the echoed -exec override,
+    # and the event log (message-log trims included) is bitwise identical.
+    go run ./cmd/chaos -seed 14 -exec pool -json "$tmp/loc-pool.json" -events "$tmp/loc-pool-events.jsonl"
     grep -v '"exec"' "$tmp/loc-pool.json" | cmp - "$tmp/loc.json"
+    cmp "$tmp/loc-pool-events.jsonl" "$tmp/loc-events.jsonl"
 
     banner "chaos: seed 31 replay (localized-shrink, minimd rehost reserve)"
     go run ./cmd/chaos -seed 31 -json "$tmp/loc-shrink.json"
