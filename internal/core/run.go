@@ -138,7 +138,7 @@ func sessionForEntry(held *Session, fctx *fenix.Context, cfg *Config, prog *prog
 		case held.manual != nil:
 			held.manual.client.SetComm(fctx.Comm())
 			held.manual.client.SetRank(fctx.Rank())
-			if err := held.manual.resync(fctx.Comm(), p); err != nil {
+			if err := held.manual.resync(fctx.Comm()); err != nil {
 				return nil, err
 			}
 		}
@@ -189,7 +189,7 @@ func newSession(p *mpi.Proc, cfg *Config, prog *progress, fctx *fenix.Context) (
 	switch layers.Control {
 	case ControlManual:
 		s.manual = &manualCtx{client: client, name: cfg.CheckpointName, interval: cfg.CheckpointInterval, latest: -1}
-		return s, s.manual.resync(s.comm, p)
+		return s, s.manual.resync(s.comm)
 	case ControlKR:
 		krCfg := kr.Config{Interval: cfg.CheckpointInterval, RestoreSurvivors: true}
 		if layers.Rollback == RollbackPartial || layers.Rollback == RollbackLocalized {
