@@ -33,7 +33,6 @@ func main() {
 		mode     = flag.String("mode", "", "pin every run to one campaign mode (default: sweep the matrix)")
 		app      = flag.String("app", "", "pin every run to one application: heatdis or minimd")
 		stormN   = flag.Int("storm-ranks", 0, "storm-wave world size override (0 = the 32-rank default; 64 via make chaos CHAOS_SCALE=64)")
-		execMode = flag.String("exec", "", "override the execution scheduling mode: goroutine or pool (default: each cell's own; the virtual outcome is identical either way)")
 		timeout  = flag.Duration("timeout", chaos.DefaultTimeout, "per-run real-time hang watchdog")
 		jsonPath = flag.String("json", "", "write the JSON campaign report to this file ('-' for stdout)")
 		events   = flag.String("events", "", "with -seed: stream the run's event log as JSONL to this file (obsreport input)")
@@ -41,18 +40,18 @@ func main() {
 		verbose  = flag.Bool("v", false, "print one line per run, not just failures")
 	)
 	flag.Parse()
-	if err := run(*seeds, *start, *seed, *mode, *app, *execMode, *stormN, *timeout, *jsonPath, *events, *outDir, *verbose); err != nil {
+	if err := run(*seeds, *start, *seed, *mode, *app, *stormN, *timeout, *jsonPath, *events, *outDir, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(seeds int, start uint64, seed int64, mode, app, execMode string, stormRanks int, timeout time.Duration, jsonPath, events, outDir string, verbose bool) error {
+func run(seeds int, start uint64, seed int64, mode, app string, stormRanks int, timeout time.Duration, jsonPath, events, outDir string, verbose bool) error {
 	if seed >= 0 {
 		if outDir != "" {
 			return fmt.Errorf("-out is a sweep flag; with -seed use -events to stream the single run's log")
 		}
-		return replay(uint64(seed), mode, app, execMode, stormRanks, timeout, jsonPath, events)
+		return replay(uint64(seed), mode, app, stormRanks, timeout, jsonPath, events)
 	}
 	if events != "" {
 		return fmt.Errorf("-events requires -seed (stream one replayed run's log)")
@@ -61,7 +60,6 @@ func run(seeds int, start uint64, seed int64, mode, app, execMode string, stormR
 		Seeds:      chaos.SeedRange(start, seeds),
 		Mode:       mode,
 		App:        app,
-		Exec:       execMode,
 		StormRanks: stormRanks,
 		Timeout:    timeout,
 		EventsDir:  outDir,
@@ -91,13 +89,10 @@ func run(seeds int, start uint64, seed int64, mode, app, execMode string, stormR
 
 // replay runs one seed and prints its full report, the debugging loop for
 // a campaign finding.
-func replay(seed uint64, mode, app, execMode string, stormRanks int, timeout time.Duration, jsonPath, events string) error {
+func replay(seed uint64, mode, app string, stormRanks int, timeout time.Duration, jsonPath, events string) error {
 	cfg, err := chaos.ConfigForSeedScaled(seed, mode, app, stormRanks)
 	if err != nil {
 		return err
-	}
-	if execMode != "" {
-		cfg.Exec = execMode
 	}
 	var stream io.Writer
 	if events != "" {

@@ -82,9 +82,10 @@ const (
 	ModeLocalizedShrink = "localized-shrink"
 )
 
-// Modes lists every campaign mode, in matrix order. New modes are appended
-// so existing (seed -> cell) assignments — including the replay seeds
-// pinned in scripts/check.sh — keep deriving the same configurations.
+// Modes lists every campaign mode, in matrix order. Seed k derives cell
+// k mod len(Modes)*len(Apps), so adding a mode remaps seeds: the rows of
+// TestCampaignMatrix name the cell each seed must derive, and its golden
+// file is regenerated with the new rows.
 var Modes = []string{
 	ModeIteration, ModeRegion, ModeCollective, ModeFlush, ModeNested,
 	ModeSpare, ModeNode, ModeStormShrink, ModeStormFail, ModeStormWave,
@@ -343,11 +344,6 @@ type CampaignConfig struct {
 	// Mode and App, when non-empty, pin every run to that mode/app instead
 	// of sweeping the matrix.
 	Mode, App string
-	// Exec, when non-empty, overrides every cell's execution scheduling
-	// mode ("goroutine" or "pool"; see mpi.ExecMode). Host scheduling
-	// only: the virtual outcome of every run is identical across values,
-	// which the exec-mode equivalence tests pin.
-	Exec string
 	// StormRanks, when positive, overrides the storm-wave world size
 	// (ConfigForSeedScaled); zero keeps the 32-rank default.
 	StormRanks int
@@ -377,9 +373,6 @@ func RunCampaign(cc CampaignConfig) (*CampaignReport, error) {
 		cfg, err := ConfigForSeedScaled(seed, cc.Mode, cc.App, cc.StormRanks)
 		if err != nil {
 			return nil, err
-		}
-		if cc.Exec != "" {
-			cfg.Exec = cc.Exec
 		}
 		var stream io.Writer
 		var eventsFile *os.File

@@ -55,8 +55,8 @@ type RunConfig struct {
 	ExpectFail bool `json:"expect_fail"`
 	// Exec selects the execution scheduling mode ("", "goroutine", or
 	// "pool"; see mpi.ExecMode). A cell constant like Flush/SDC: it may
-	// change only host scheduling, never the virtual outcome — the
-	// exec-mode equivalence tests compare reports across both values.
+	// change only host scheduling, never the virtual outcome —
+	// TestCampaignMatrix runs every cell in both modes and compares.
 	Exec string `json:"exec,omitempty"`
 	// Localized runs the cell under core.StrategyLocalized (sender-based
 	// message logging, DESIGN.md §12) instead of the default global-rollback

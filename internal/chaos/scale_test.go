@@ -68,9 +68,9 @@ func TestScale4096HeatdisReplay(t *testing.T) {
 // kill, repaired online, byte-identical across two replays. A
 // goroutine-per-rank world this size is what the pool exists to avoid,
 // so the cell runs pool-only; its virtual outcome is pinned to goroutine
-// mode by the equivalence matrix at smaller widths. It is gated behind
-// CHAOS_NIGHTLY=1 (the nightly CI tier and `scripts/check.sh nightly`)
-// so the per-commit tier-1 sweep stays fast.
+// mode by TestCampaignMatrix's two-mode rows at smaller widths. It is
+// gated behind CHAOS_NIGHTLY=1 (the nightly CI tier and
+// `scripts/check.sh nightly`) so the per-commit tier-1 sweep stays fast.
 func TestScale8192HeatdisReplay(t *testing.T) {
 	if os.Getenv("CHAOS_NIGHTLY") == "" {
 		t.Skip("8192-rank cell runs in the nightly tier (set CHAOS_NIGHTLY=1)")
@@ -104,37 +104,6 @@ func TestScale8192HeatdisReplay(t *testing.T) {
 	}
 	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
 		t.Errorf("8192-rank replay differs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			out[0].String(), out[1].String())
-	}
-}
-
-// TestScale1024StormWaveReplay pins replay determinism for the 1024-rank
-// storm-wave family (the CHAOS_SCALE=1024 smoke cell): multiple shrink
-// waves, spare exhaustion, and a world-sized flush storm must all be a
-// pure function of the seed at this width too.
-func TestScale1024StormWaveReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024-rank storm cell skipped in -short mode")
-	}
-	var out [2]bytes.Buffer
-	for i := 0; i < 2; i++ {
-		cfg, err := ConfigForSeedScaled(9, ModeStormWave, AppHeatdis, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := RunOne(cfg, NewRefCache(), scaleTimeout)
-		for _, v := range rep.Violations {
-			t.Error(v)
-		}
-		if rep.JobFailed {
-			t.Fatalf("1024-rank storm failed: %s", rep.Error)
-		}
-		if err := rep.WriteJSON(&out[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
-		t.Errorf("1024-rank storm replay differs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
 			out[0].String(), out[1].String())
 	}
 }

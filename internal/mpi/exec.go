@@ -71,8 +71,8 @@ func (m ExecMode) String() string {
 	return fmt.Sprintf("ExecMode(%d)", int(m))
 }
 
-// ParseExecMode parses a -exec flag value. The empty string selects
-// ExecGoroutine.
+// ParseExecMode parses an execution mode name ("goroutine" or "pool").
+// The empty string selects ExecGoroutine.
 func ParseExecMode(s string) (ExecMode, error) {
 	switch s {
 	case "", "goroutine":

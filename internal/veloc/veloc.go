@@ -561,16 +561,6 @@ func (c *Client) RestartLatest(name string) (int, error) {
 	return v, c.Restart(name, v)
 }
 
-// Drop removes version `version` of `name` from both scratch and the PFS
-// for this rank (VELOC_Checkpoint_delete). Rolling the meta entries back
-// when the latest version is dropped is NOT attempted: VeloC's own GC
-// only ever removes superseded versions, which is the supported use here.
-func (c *Client) Drop(name string, version int) {
-	key := dataKey(name, version, c.rank)
-	c.p.Node().ScratchDelete(key)
-	c.p.World().Cluster().PFS().Delete(key)
-}
-
 // Available reports whether version `version` of `name` is restorable by
 // this rank from scratch or the PFS. A scratch copy failing its CRC is
 // treated as absent, so version selection silently falls back past

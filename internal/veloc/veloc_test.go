@@ -366,28 +366,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestDropRemovesVersion(t *testing.T) {
-	runRanks(t, 1, func(p *mpi.Proc) error {
-		c, _ := New(p, Config{Mode: Single})
-		buf := []byte{1}
-		c.Protect(0, SliceRegion{&buf})
-		if err := c.Checkpoint("x", 1); err != nil {
-			return err
-		}
-		if !c.Available("x", 1) {
-			t.Error("version 1 not available after checkpoint")
-		}
-		c.Drop("x", 1)
-		if c.Available("x", 1) {
-			t.Error("version 1 available after drop")
-		}
-		if err := c.Restart("x", 1); !errors.Is(err, ErrNoCheckpoint) {
-			t.Errorf("restart after drop: %v", err)
-		}
-		return nil
-	})
-}
-
 func TestAvailableMissing(t *testing.T) {
 	runRanks(t, 1, func(p *mpi.Proc) error {
 		c, _ := New(p, Config{Mode: Single})
