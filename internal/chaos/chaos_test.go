@@ -110,32 +110,7 @@ func TestCampaignMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var reports [2][]byte
-			var events [2]bytes.Buffer
-			for k, exec := range []string{"goroutine", "pool"} {
-				cfg.Exec = exec
-				rep := RunOneStreaming(cfg, refs, timeout, &events[k])
-				for _, v := range rep.Violations {
-					t.Errorf("exec=%s: %s", exec, v)
-				}
-				// The report echoes its config; the exec mode is the one
-				// field the two runs may differ in.
-				rep.Exec = ""
-				if reports[k], err = json.MarshalIndent(rep, "  ", "  "); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if line, a, b := firstDiffLine(string(reports[0]), string(reports[1])); line > 0 {
-				t.Errorf("reports differ between exec modes at line %d:\ngoroutine: %s\npool:      %s", line, a, b)
-			}
-			// A node crash takes two co-resident ranks whose flush
-			// submissions are sampled in wall-clock order (the queue_depth
-			// attribute), so only the node cells' reports are compared.
-			if row.mode != ModeNode {
-				if line, a, b := firstDiffLine(dropSpareInit(events[0].String()), dropSpareInit(events[1].String())); line > 0 {
-					t.Errorf("event logs differ between exec modes at line %d:\ngoroutine: %s\npool:      %s", line, a, b)
-				}
-			}
+			reports := replayPair(t, cfg, [2]string{"goroutine", "pool"}, refs, timeout)
 			if *update {
 				golden[name] = reports[0]
 				return
@@ -167,6 +142,75 @@ func TestCampaignMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// replayPair runs cfg under runs[0] and then runs[1], fails t on any
+// invariant violation or where the two replays differ, and returns the
+// reports with the exec field cleared (the report echoes its config).
+// Reports are compared byte for byte and event logs less spares'
+// fenix.init lines. A node crash takes two co-resident ranks whose flush
+// submissions are sampled in wall-clock order (the queue_depth attribute),
+// so only the node cells' reports are compared.
+func replayPair(t *testing.T, cfg RunConfig, runs [2]string, refs *RefCache, timeout time.Duration) (reports [2][]byte) {
+	t.Helper()
+	var events [2]bytes.Buffer
+	for k, exec := range runs {
+		cfg.Exec = exec
+		rep := RunOneStreaming(cfg, refs, timeout, &events[k])
+		for _, v := range rep.Violations {
+			t.Errorf("exec=%s: %s", exec, v)
+		}
+		rep.Exec = ""
+		var err error
+		if reports[k], err = json.MarshalIndent(rep, "  ", "  "); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if line, a, b := firstDiffLine(string(reports[0]), string(reports[1])); line > 0 {
+		t.Errorf("reports differ at line %d:\n%s: %s\n%s: %s", line, runs[0], a, runs[1], b)
+	}
+	if cfg.Mode != ModeNode {
+		if line, a, b := firstDiffLine(dropSpareInit(events[0].String()), dropSpareInit(events[1].String())); line > 0 {
+			t.Errorf("event logs differ at line %d:\n%s: %s\n%s: %s", line, runs[0], a, runs[1], b)
+		}
+	}
+	return reports
+}
+
+// replaySeeds runs replayPair on each seed's own cell, one subtest a seed.
+func replaySeeds(t *testing.T, runs [2]string, seeds ...uint64) {
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg, err := ConfigForSeed(seed, "", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayPair(t, cfg, runs, NewRefCache(), 0)
+		})
+	}
+}
+
+// TestSeedReplayIsByteStable replays cells twice in the same exec mode,
+// where TestCampaignMatrix compares the two modes with each other: flush,
+// node, storm-shrink, storm-wave, sdc-vote, sdc-mixed, localized and
+// localized-shrink on heatdis; iteration, flush and localized-shrink on
+// minimd.
+func TestSeedReplayIsByteStable(t *testing.T) {
+	replaySeeds(t, [2]string{"goroutine", "goroutine"}, 3, 6, 7, 9, 11, 13, 14, 16, 19, 31)
+}
+
+// TestExecModeEquivalenceMatrix is the exec-mode half of TestCampaignMatrix
+// alone, on four cells that between them take every recovery path (flush
+// scheduler, storm shrink, storm-wave spare exhaustion on both apps): the
+// quick check after a change to the pool executor.
+func TestExecModeEquivalenceMatrix(t *testing.T) {
+	replaySeeds(t, [2]string{"goroutine", "pool"}, 3, 7, 9, 19)
+}
+
+// TestMixedFaultReplayByteStable replays the sdc-mixed cells twice under
+// the pool executor: SDC injection must not perturb its determinism.
+func TestMixedFaultReplayByteStable(t *testing.T) {
+	replaySeeds(t, [2]string{"pool", "pool"}, 13, 29)
 }
 
 // dropSpareInit removes the fenix.init events of spares from a JSONL log.
