@@ -73,12 +73,12 @@ sweep:
 figures:
 	$(GO) run ./cmd/figures
 
-# Run a failure-injected Heatdis cell with event streaming and print its
+# Run a failure-injected Heatdis cell, export its event log and print its
 # recovery-timeline report.
 report:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/heatdis -ranks 8 -data-mb 64 -iters 30 -interval 5 \
-		-fail -stream -events "$$tmp/events.jsonl" && \
+		-fail -events "$$tmp/events.jsonl" && \
 	$(GO) run ./cmd/obsreport "$$tmp/events.jsonl"
 
 clean:

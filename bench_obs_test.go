@@ -1,13 +1,12 @@
 // Observability-overhead benchmarks: the same failure-injected Heatdis
-// cell with recording disabled (nil recorder), enabled, and enabled with
-// incremental JSONL streaming. Comparing ns/op across the three isolates
-// the host-side cost of the instrumentation; events/op sizes the log.
+// cell with recording disabled (nil recorder) and enabled. Comparing ns/op
+// across the two isolates the host-side cost of the instrumentation;
+// events/op sizes the log.
 //
 // Run with: go test -bench 'BenchmarkHeatdisObs' -benchtime 10x .
 package repro_test
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/apps/heatdis"
@@ -19,8 +18,8 @@ import (
 
 // benchObsCell runs one failure-injected Heatdis job (8 ranks + 1 spare,
 // 64 MB/rank, 6 checkpoint generations, kill at iteration 28) with the
-// given recorder and stream sink.
-func benchObsCell(b *testing.B, rec *obs.Recorder, stream io.Writer) *core.Result {
+// given recorder.
+func benchObsCell(b *testing.B, rec *obs.Recorder) *core.Result {
 	b.Helper()
 	const (
 		ranks    = 8
@@ -41,7 +40,7 @@ func benchObsCell(b *testing.B, rec *obs.Recorder, stream io.Writer) *core.Resul
 	}
 	res := core.Run(mpi.JobConfig{
 		Ranks: ranks + 1, Machine: sim.DefaultMachine(), Seed: 42,
-		Obs: rec, ObsStream: stream,
+		Obs: rec,
 	}, cc, heatdis.App(cfg, heatdis.NewSink()))
 	if res.Failed || res.Err() != nil {
 		b.Fatalf("heatdis cell failed: %v", res.Err())
@@ -54,7 +53,7 @@ func benchObsCell(b *testing.B, rec *obs.Recorder, stream io.Writer) *core.Resul
 func BenchmarkHeatdisObsOff(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res = benchObsCell(b, nil, nil)
+		res = benchObsCell(b, nil)
 	}
 	b.ReportMetric(res.WallTime, "virtwall_s")
 }
@@ -65,22 +64,8 @@ func BenchmarkHeatdisObsOn(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
 		rec = obs.New()
-		res = benchObsCell(b, rec, nil)
+		res = benchObsCell(b, rec)
 	}
 	b.ReportMetric(res.WallTime, "virtwall_s")
 	b.ReportMetric(float64(rec.Len()), "events/op")
-}
-
-// BenchmarkHeatdisObsStream additionally streams the log as JSONL through
-// the reorder window while the job runs (the long-run export mode).
-func BenchmarkHeatdisObsStream(b *testing.B) {
-	var rec *obs.Recorder
-	for i := 0; i < b.N; i++ {
-		rec = obs.New()
-		benchObsCell(b, rec, io.Discard)
-	}
-	b.ReportMetric(float64(rec.StreamWritten()), "events/op")
-	if rec.StreamLate() != 0 {
-		b.Fatalf("%d events overflowed the reorder window", rec.StreamLate())
-	}
 }

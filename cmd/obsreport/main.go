@@ -1,6 +1,6 @@
 // Command obsreport analyzes resilience events JSONL (the output of the
 // -events flag on cmd/heatdis, cmd/minimd and cmd/chaos, or of
-// obs.Recorder.WriteJSONL/StreamJSONL) and prints the recovery-timeline
+// obs.Recorder.WriteJSONL) and prints the recovery-timeline
 // breakdown the paper's evaluation reports: one span per repaired failure
 // episode, segmented into detection / communicator repair / rebuild /
 // state restoration / recompute phases, plus per-generation

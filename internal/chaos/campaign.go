@@ -349,7 +349,7 @@ type CampaignConfig struct {
 	StormRanks int
 	// Timeout is the per-run real-time watchdog (DefaultTimeout if zero).
 	Timeout time.Duration
-	// EventsDir, when non-empty, streams each run's event log to
+	// EventsDir, when non-empty, writes each run's event log to
 	// <EventsDir>/seed-<seed>.jsonl and writes an analyze.Manifest tagging
 	// every file with its (mode × app) cell — the input layout
 	// `obsreport -sweep` aggregates. The directory is created if absent.

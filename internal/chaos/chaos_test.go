@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -215,9 +216,8 @@ func TestMixedFaultReplayByteStable(t *testing.T) {
 
 // dropSpareInit removes the fenix.init events of spares from a JSONL log.
 // A spare whose goroutine reaches Fenix_Init only after the members have
-// finished returns without emitting one, and one that reaches it late in
-// wall-clock terms is streamed out of order: whether and where the line
-// appears is a wall-clock race, not part of the replayed run.
+// finished returns without emitting one: whether the line appears is a
+// wall-clock race, not part of the replayed run.
 func dropSpareInit(log string) string {
 	var b strings.Builder
 	for _, line := range strings.SplitAfter(log, "\n") {
@@ -406,3 +406,28 @@ func TestExecModeUnknownRejected(t *testing.T) {
 		t.Fatal("unknown exec mode accepted")
 	}
 }
+
+// TestEventsExportErrorIsViolation pins that a failed event-log export
+// fails the run instead of leaving a truncated log behind a passing
+// report.
+func TestEventsExportErrorIsViolation(t *testing.T) {
+	cfg, err := ConfigForSeed(3, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := RunOneStreaming(cfg, NewRefCache(), 0, failWriter{})
+	if rep.OK() {
+		t.Fatal("run with a failing events writer reported OK")
+	}
+	want := "events export: disk full"
+	for _, v := range rep.Violations {
+		if v == want {
+			return
+		}
+	}
+	t.Fatalf("violations %q lack %q", rep.Violations, want)
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }

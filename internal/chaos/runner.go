@@ -169,9 +169,10 @@ func RunOne(cfg RunConfig, refs *RefCache, timeout time.Duration) *RunReport {
 	return RunOneStreaming(cfg, refs, timeout, nil)
 }
 
-// RunOneStreaming is RunOne with the run's structured event log streamed
-// to events as JSONL (obsreport's input format), for post-mortem analysis
-// of a replayed seed. A nil writer disables streaming.
+// RunOneStreaming is RunOne with the run's structured event log written
+// to events as JSONL (obsreport's input format) after the run, for
+// post-mortem analysis of a replayed seed. A nil writer skips the export;
+// a hung run writes nothing; a failed export is a violation.
 func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, events io.Writer) *RunReport {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -195,7 +196,6 @@ func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, event
 		RanksPerNode: cfg.RanksPerNode,
 		Seed:         cfg.Seed,
 		Obs:          rec,
-		ObsStream:    events,
 		Inject:       inj,
 		Flush:        cfg.Flush,
 		Exec:         exec,
@@ -273,7 +273,13 @@ func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, event
 	rep.Rehosts = int(reg.CounterValue(obs.MRehosts))
 	rep.FlushReorders = int(reg.CounterValue(obs.MFlushReorders))
 
-	arep, err := analyze.Analyze(rec.Events())
+	evs := rec.Events()
+	if events != nil {
+		if err := obs.WriteEventsJSONL(events, evs); err != nil {
+			rep.addViolation(fmt.Sprintf("events export: %v", err))
+		}
+	}
+	arep, err := analyze.Analyze(evs)
 	if err != nil {
 		rep.addViolation(fmt.Sprintf("analyze: %v", err))
 		return rep

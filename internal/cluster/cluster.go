@@ -381,13 +381,6 @@ func (p *PFS) Exists(key string) (availableAt float64, ok bool) {
 	return f.availableAt, ok && !f.incomplete
 }
 
-// Delete removes key.
-func (p *PFS) Delete(key string) {
-	p.mu.Lock()
-	delete(p.files, key)
-	p.mu.Unlock()
-}
-
 // Len returns the number of stored files (for tests).
 func (p *PFS) Len() int {
 	p.mu.Lock()

@@ -210,19 +210,18 @@ func TestPFSOverwriteKeepsLatest(t *testing.T) {
 	}
 }
 
-func TestPFSExistsAndDelete(t *testing.T) {
+func TestPFSExists(t *testing.T) {
 	p := NewPFS(testMachine())
 	end := p.Write("f", []byte("x"), 0)
 	at, ok := p.Exists("f")
 	if !ok || at != end {
 		t.Fatalf("Exists = (%v,%v), want (%v,true)", at, ok, end)
 	}
-	p.Delete("f")
-	if _, ok := p.Exists("f"); ok {
-		t.Fatal("file exists after delete")
+	if _, ok := p.Exists("g"); ok {
+		t.Fatal("unwritten file exists")
 	}
-	if p.Len() != 0 {
-		t.Fatal("Len != 0 after delete")
+	if p.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", p.Len())
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -52,15 +51,12 @@ type Driver struct {
 	strategy, machine, sdc            *string
 	events, metrics                   *string
 	ranks, interval, spares, failRank *int
-	ring, flushWindow                 *int
-	fail, stream, flushCoalesce       *bool
+	flushWindow                       *int
+	fail, flushCoalesce               *bool
 	seed                              *uint64
-	obsWindow                         *float64
 	cc                                core.Config
 	job                               mpi.JobConfig
 	rec                               *obs.Recorder
-	streamBuf                         *bufio.Writer
-	streamFile                        *os.File
 }
 
 // NewDriver registers the shared flags on fs.
@@ -82,9 +78,6 @@ func NewDriver(fs *flag.FlagSet, spec DriverSpec) *Driver {
 		seed:          fs.Uint64("seed", spec.Seed, "jitter seed"),
 		events:        fs.String("events", "", `write the structured resilience event log as JSONL to this path ("-" for stdout)`),
 		metrics:       fs.String("metrics", "", `write the metrics snapshot in Prometheus text format to this path ("-" for stdout)`),
-		stream:        fs.Bool("stream", false, "stream the -events JSONL incrementally during the run instead of writing it at the end"),
-		obsWindow:     fs.Float64("obs-window", 0, "reorder window in virtual seconds for -stream (0 selects the default)"),
-		ring:          fs.Int("ring", 0, "bound the in-memory event log to the newest N events (0 = unbounded; combine with -stream to keep the full export)"),
 		flushWindow:   fs.Int("flush-window", 0, "bound in-flight checkpoint flushes per node to this many (0 = unscheduled: every flush starts immediately)"),
 		flushCoalesce: fs.Bool("flush-coalesce", true, "with -flush-window, cancel queued flushes superseded by a newer version of the same checkpoint"),
 		sdc:           fs.String("sdc", "", "SDC detection policy for resilient regions: none, checksum, replay, vote (also enables checkpoint-blob verification)"),
@@ -108,9 +101,6 @@ func (d *Driver) Parse(args []string) {
 	mk, ok := sim.Presets[*d.machine]
 	if !ok {
 		exit(2, fmt.Sprintf("unknown machine preset %q", *d.machine))
-	}
-	if *d.stream && *d.events == "" {
-		exit(2, "-stream requires -events")
 	}
 	d.Strategy, d.Ranks, d.Interval = strategy, *d.ranks, *d.interval
 	spares := *d.spares
@@ -150,22 +140,7 @@ func (d *Driver) Run(loops int, app core.App) *core.Result {
 	}
 	if *d.events != "" || *d.metrics != "" {
 		d.rec = obs.New()
-		d.rec.SetRingCapacity(*d.ring)
 		d.job.Obs = d.rec
-	}
-	if *d.stream {
-		// -stream exports the event log incrementally through the reorder
-		// window while the job runs; Finish then skips the post-hoc export.
-		w := io.Writer(os.Stdout)
-		if *d.events != "-" {
-			f, err := os.Create(*d.events)
-			if err != nil {
-				exit(1, err)
-			}
-			d.streamFile, w = f, f
-		}
-		d.streamBuf = bufio.NewWriter(w)
-		d.job.ObsStream, d.job.ObsWindow = d.streamBuf, *d.obsWindow
 	}
 	return core.Run(d.job, d.cc, app)
 }
@@ -174,21 +149,7 @@ func (d *Driver) Run(loops int, app core.App) *core.Result {
 // the job failed.
 func (d *Driver) Finish(res *core.Result) {
 	if d.rec != nil {
-		events := *d.events
-		if d.streamBuf != nil {
-			err := d.rec.FlushStream()
-			if err == nil {
-				err = d.streamBuf.Flush()
-			}
-			if err == nil && d.streamFile != nil {
-				err = d.streamFile.Close()
-			}
-			if err != nil {
-				exit(1, "streaming events:", err)
-			}
-			events = ""
-		}
-		if err := writeObs(d.rec, events, *d.metrics); err != nil {
+		if err := writeObs(d.rec, *d.events, *d.metrics); err != nil {
 			exit(1, err)
 		}
 	}

@@ -20,9 +20,6 @@ func TestProcAccessors(t *testing.T) {
 	if p.Clock() == nil || p.RNG() == nil {
 		t.Fatal("nil clock/rng")
 	}
-	if p.Exited() {
-		t.Fatal("fresh proc marked exited")
-	}
 	before := p.Now()
 	p.ChargeTime(trace.DataRecovery, 1.5)
 	if p.Now() != before+1.5 {

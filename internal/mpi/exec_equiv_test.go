@@ -138,7 +138,6 @@ func TestExecPoolRecorderOrder(t *testing.T) {
 	w := testWorld(16)
 	w.SetExecModeWorkers(ExecPool, 2)
 	rec := obs.New()
-	rec.SetRingCapacity(1 << 16)
 	w.SetObs(rec)
 	runWorld(w, func(p *Proc) error {
 		c := w.CommWorld()
@@ -192,7 +191,6 @@ func TestExecPoolFlushSchedule(t *testing.T) {
 		w := NewWorld(cl, ranks, perNode, false, 1, 0)
 		w.SetExecModeWorkers(exec, workers)
 		rec := obs.New()
-		rec.SetRingCapacity(1 << 20)
 		w.SetObs(rec)
 		transcripts := make([][]string, ranks)
 		windows := make(map[string]string)

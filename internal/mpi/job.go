@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -41,15 +40,6 @@ type JobConfig struct {
 	// metrics from every layer of every launch (see internal/obs). Nil
 	// disables recording at near-zero cost.
 	Obs *obs.Recorder
-	// ObsStream, if non-nil alongside Obs, streams the event log to this
-	// writer incrementally as JSONL during the run (obs.StreamJSONL with
-	// ObsWindow as the reorder window; obs.DefaultReorderWindow when
-	// zero). RunJob drains the stream's reorder buffer before returning;
-	// check Obs.FlushStream for sticky write errors afterwards. Combine
-	// with Obs.SetRingCapacity to bound recorder memory on long runs.
-	ObsStream io.Writer
-	// ObsWindow is the virtual-seconds reorder window for ObsStream.
-	ObsWindow float64
 	// Inject, if non-nil, receives control at named execution points in
 	// every launch (see Injector); the chaos engine uses it to kill ranks
 	// at adversarial moments. Nil disables injection at near-zero cost.
@@ -146,9 +136,6 @@ func RunJob(cfg JobConfig, f RankFunc) *JobResult {
 		PerRank: make([]trace.Times, cfg.Ranks),
 		Cluster: cl,
 	}
-	if cfg.Obs != nil && cfg.ObsStream != nil && !cfg.Obs.Streaming() {
-		cfg.Obs.StreamJSONL(cfg.ObsStream, cfg.ObsWindow)
-	}
 	jobTime := 0.0
 
 	for attempt := 0; ; attempt++ {
@@ -197,10 +184,6 @@ func RunJob(cfg JobConfig, f RankFunc) *JobResult {
 			cfg.Obs.Emit(res.WallTime, -1, obs.LayerMPI, obs.EvJobEnd,
 				obs.KV("launches", res.Launches), obs.KV("failed", res.Failed),
 				obs.KV("wall_seconds", res.WallTime))
-			// Drain the incremental export's reorder buffer so callers see
-			// the complete log as soon as RunJob returns. Sticky write
-			// errors stay retrievable via Obs.FlushStream.
-			cfg.Obs.FlushStream() //nolint:errcheck
 		}
 		failed := anyKilled || anyAborted
 		if !failed {

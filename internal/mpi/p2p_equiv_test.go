@@ -38,7 +38,6 @@ func runP2PScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace
 	w.SetExecModeWorkers(exec, workers)
 	w.EnableMsgLog()
 	rec := obs.New()
-	rec.SetRingCapacity(1 << 20)
 	w.SetObs(rec)
 
 	var parity [2][]int
@@ -219,9 +218,6 @@ func runP2PScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("obs recorder dropped %d events; raise the ring capacity", rec.Dropped())
 	}
 	return engineTrace{transcripts: transcripts, clocks: clocks, events: buf.Bytes()}
 }

@@ -157,9 +157,6 @@ func (p *Proc) CrashNode() {
 	}
 }
 
-// Exited reports whether this process has been killed.
-func (p *Proc) Exited() bool { return p.exited }
-
 // waitForDetection advances the clock to the failure-detection floor of
 // the given dead world ranks: peers cannot act on a failure before the
 // detector (heartbeat timeout) reports it.

@@ -59,7 +59,6 @@ type World struct {
 	deadAt []float64 // virtual death time per rank (valid where dead)
 	nComm  int64
 	colls  map[collKey]*rendezvous
-	nDead  int
 	deadLs []int // world ranks, in failure order
 	hooks  []func(worldRank int)
 
@@ -217,13 +216,6 @@ func (w *World) DeadRanks() []int {
 	return cp
 }
 
-// AliveCount returns the number of live processes.
-func (w *World) AliveCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.procs) - w.nDead
-}
-
 // DetectionFloor returns the earliest virtual time at which the failures of
 // the given world ranks are observable (death time plus detection latency;
 // ranks still alive contribute nothing). The process resilience layer uses
@@ -261,7 +253,6 @@ func (w *World) markDead(r int) {
 	w.procs[r].Event(obs.LayerMPI, obs.EvRankExit)
 	w.dead[r] = true
 	w.deadAt[r] = w.procs[r].clock.Now()
-	w.nDead++
 	w.deadLs = append(w.deadLs, r)
 	for _, rv := range w.colls {
 		if !rv.hasMember(r) {

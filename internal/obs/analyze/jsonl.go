@@ -22,7 +22,7 @@ type wireEvent struct {
 }
 
 // ReadJSONL parses an events JSONL stream (the output of
-// Recorder.WriteJSONL or Recorder.StreamJSONL) back into events. JSON
+// Recorder.WriteJSONL) back into events. JSON
 // objects lose attribute order, so attributes are re-sorted by key; the
 // emission sequence is reconstructed from line order, preserving the
 // file's tie-break order for equal timestamps. Quoted non-finite floats

@@ -112,27 +112,13 @@ func appendJSONValue(b []byte, v any) []byte {
 
 // Recorder collects events and owns a metrics registry. All methods are
 // safe for concurrent use by many rank goroutines, and all are nil-safe:
-// a nil *Recorder records nothing and is the disabled default.
-//
-// By default every event is retained in memory for post-run export. Two
-// additional modes bound memory for long runs: StreamJSONL attaches an
-// incremental JSONL sink (with a reorder window for the out-of-order
-// veloc.flush_end stamps), and SetRingCapacity caps the in-memory log at
-// the most recent N events.
+// a nil *Recorder records nothing and is the disabled default. Every event
+// is retained in memory and exported after the run (WriteJSONL).
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
 	seq    uint64
 	reg    *Registry
-
-	// Ring-buffer mode: when ringCap > 0 and the log is full, the oldest
-	// event is overwritten in place; ringStart indexes the oldest retained
-	// event and dropped counts the overwritten ones.
-	ringCap   int
-	ringStart int
-	dropped   uint64
-
-	stream *jsonlStream // non-nil once StreamJSONL has been attached
 }
 
 // New creates an enabled recorder with an empty registry.
@@ -162,49 +148,13 @@ func (r *Recorder) Emit(time float64, rank int, layer, name string, attrs ...Att
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
-	if r.ringCap > 0 && len(r.events) >= r.ringCap {
-		r.events[r.ringStart] = e
-		r.ringStart = (r.ringStart + 1) % r.ringCap
-		r.dropped++
-	} else {
-		r.events = append(r.events, e)
-	}
-	if r.stream != nil {
-		r.stream.push(e)
-	}
+	r.events = append(r.events, e)
 	r.mu.Unlock()
 }
 
-// SetRingCapacity bounds the in-memory event log to the most recent n
-// events; older events are overwritten and counted by Dropped. n <= 0
-// restores unbounded retention (the default). Attached JSONL streams are
-// unaffected: they observe every event regardless of the ring. Changing
-// the capacity of a non-empty recorder panics; configure the ring before
-// the run starts.
-func (r *Recorder) SetRingCapacity(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.events) > 0 {
-		panic("obs: SetRingCapacity on a non-empty recorder")
-	}
-	if n <= 0 {
-		n = 0
-	}
-	r.ringCap = n
-}
-
-// Dropped returns the number of events overwritten by ring-buffer mode.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+// Dropped always returns 0: the recorder never discards an event. It is
+// kept because bench/ reads it.
+func (r *Recorder) Dropped() uint64 { return 0 }
 
 // Len returns the number of events currently retained in memory.
 func (r *Recorder) Len() int {
@@ -217,10 +167,11 @@ func (r *Recorder) Len() int {
 }
 
 // Events returns a copy of the retained log ordered by (virtual time,
-// emission sequence). Within one rank the order is causal; across ranks
-// virtual time is the shared ordering the simulation guarantees. Attribute
-// slices are deep-copied, so callers may inspect and mutate the result
-// without aliasing the recorder's (caller-retained) attrs.
+// rank, emission sequence); see eventLess. Within one rank the order is
+// causal; across ranks virtual time is the shared ordering the simulation
+// guarantees. Attribute slices are deep-copied, so callers may inspect and
+// mutate the result without aliasing the recorder's (caller-retained)
+// attrs.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -234,30 +185,40 @@ func (r *Recorder) Events() []Event {
 			out[i].Attrs = append([]Attr(nil), out[i].Attrs...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		// Same-instant events from different ranks have no causal order; the
-		// emission sequence reflects the racy real-time arrival of their
-		// goroutines, so rank breaks the tie to keep the log replay-stable
-		// (Seq stays the within-rank causal order).
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	sort.Slice(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
 	return out
 }
 
-// WriteJSONL writes the time-ordered event log as JSON Lines.
+// eventLess orders events by (Time, Rank, Seq). Same-instant events from
+// different ranks have no causal order; the emission sequence reflects the
+// racy real-time arrival of their goroutines, so rank breaks the tie to
+// keep the log replay-stable (Seq stays the within-rank causal order).
+func eventLess(a, b Event) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	if a.Rank != b.Rank {
+		return a.Rank < b.Rank
+	}
+	return a.Seq < b.Seq
+}
+
+// WriteJSONL writes the event log as JSON Lines in Events order,
+// (t, rank, seq).
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	return WriteEventsJSONL(w, r.Events())
+}
+
+// WriteEventsJSONL writes events, already in Recorder.Events order, as
+// JSON Lines: the encoding of Recorder.WriteJSONL for a caller that holds
+// the sorted log anyway.
+func WriteEventsJSONL(w io.Writer, events []Event) error {
 	var b []byte
-	for _, e := range r.Events() {
-		b = e.appendJSON(b[:0])
+	for i := range events {
+		b = events[i].appendJSON(b[:0])
 		b = append(b, '\n')
 		if _, err := w.Write(b); err != nil {
 			return err

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"errors"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -24,7 +26,7 @@ func TestEventsOrderedByTimeThenSeq(t *testing.T) {
 			t.Errorf("event %d: got %s, want %s", i, e.Name, want[i])
 		}
 	}
-	// The tie at t=2.0 must break on emission order.
+	// The tie at t=2.0 must break on rank, then emission order.
 	if got[2].Seq > got[3].Seq {
 		t.Errorf("tie at t=2.0 broke out of emission order: seq %d before %d", got[2].Seq, got[3].Seq)
 	}
@@ -67,6 +69,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if err := r.WriteJSONL(os.Stderr); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
+	if r.Dropped() != 0 {
+		t.Error("nil recorder dropped events")
+	}
 
 	reg := r.Registry()
 	if reg != nil {
@@ -84,6 +89,82 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Errorf("nil WritePrometheus: %v", err)
 	}
 }
+
+// TestEventsCopiesAttrs is the aliasing regression test: mutating the
+// slice returned by Events must not corrupt the recorder's log (Emit
+// retains caller-owned attr slices, so export paths must copy).
+func TestEventsCopiesAttrs(t *testing.T) {
+	r := New()
+	attrs := []Attr{KV("failed_rank", 1)}
+	r.Emit(1.0, 0, LayerMPI, EvFailureDetected, attrs...)
+
+	got := r.Events()
+	got[0].Attrs[0] = KV("failed_rank", 999)
+
+	again := r.Events()
+	if v := again[0].Attrs[0].Value; v != 1 {
+		t.Errorf("mutating Events() result corrupted the log: attr = %v, want 1", v)
+	}
+	// The caller-owned slice passed to Emit is also isolated from Events
+	// consumers.
+	if attrs[0].Value != 1 {
+		t.Errorf("caller slice mutated: %v", attrs[0].Value)
+	}
+}
+
+func TestAppendJSONValueNonFiniteFloats(t *testing.T) {
+	cases := []struct {
+		v    any
+		want string
+	}{
+		{math.NaN(), `"NaN"`},
+		{math.Inf(1), `"+Inf"`},
+		{math.Inf(-1), `"-Inf"`},
+		{1.5, "1.5"},
+	}
+	for _, c := range cases {
+		if got := string(appendJSONValue(nil, c.v)); got != c.want {
+			t.Errorf("appendJSONValue(%v) = %s, want %s", c.v, got, c.want)
+		}
+	}
+}
+
+// TestAppendJSONQuotesFallbackStrings checks that fallback-stringified
+// values with JSON-hostile characters stay correctly quoted.
+func TestAppendJSONQuotesFallbackStrings(t *testing.T) {
+	type weird struct{ S string }
+	got := string(appendJSONValue(nil, weird{S: "a\"b\nc"}))
+	want := `"{a\"b\nc}"`
+	if got != want {
+		t.Errorf("fallback quoting: got %s, want %s", got, want)
+	}
+	// NaN inside an event line keeps the whole line valid JSON.
+	r := New()
+	r.Emit(1.0, 0, LayerVeloC, EvVeloCRestart, KV("seconds", math.NaN()))
+	var b strings.Builder
+	if err := r.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	want = `{"t":1,"rank":0,"layer":"veloc","event":"veloc.restart","attrs":{"seconds":"NaN"}}` + "\n"
+	if b.String() != want {
+		t.Errorf("JSONL with NaN:\ngot:  %swant: %s", b.String(), want)
+	}
+}
+
+// TestWriteJSONLReturnsWriteError checks that an export to a failing
+// writer reports the error instead of truncating the log silently.
+func TestWriteJSONLReturnsWriteError(t *testing.T) {
+	r := New()
+	r.Emit(1.0, 0, LayerMPI, EvRevoke)
+	want := errors.New("disk full")
+	if err := r.WriteJSONL(failWriter{want}); !errors.Is(err, want) {
+		t.Errorf("WriteJSONL to a failing writer = %v, want %v", err, want)
+	}
+}
+
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
 
 func TestCounterRejectsNegative(t *testing.T) {
 	defer func() {

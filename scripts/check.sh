@@ -101,7 +101,7 @@ run_race() {
 
 run_bench() {
     # Observability overhead and flush scheduling: the same
-    # failure-injected Heatdis cells with recording off/on/streaming and
+    # failure-injected Heatdis cells with recording off/on and
     # with unscheduled vs windowed flushing (one iteration each; a smoke
     # check that the instrumented paths stay healthy end to end).
     banner "bench: BenchmarkHeatdisObs* + BenchmarkHeatdisFlushSched (1x)"
@@ -116,22 +116,22 @@ run_perf() {
 }
 
 run_report() {
-    # Recovery-timeline pipeline: stream a failure-injected run's events
+    # Recovery-timeline pipeline: export a failure-injected run's events
     # (with the flush scheduler enabled) and analyze them with obsreport.
-    banner "report: heatdis -stream | obsreport"
+    banner "report: heatdis -events | obsreport"
     go run ./cmd/heatdis -ranks 8 -data-mb 64 -iters 30 -interval 5 \
-        -fail -flush-window 2 -stream -events "$tmp/events.jsonl"
+        -fail -flush-window 2 -events "$tmp/events.jsonl"
     go run ./cmd/obsreport "$tmp/events.jsonl" | grep -q 'unrepaired 0'
     go run ./cmd/obsreport -json "$tmp/events.jsonl" > "$tmp/report.json"
     grep -q '"failures_repaired": 1' "$tmp/report.json"
     grep -q '"failures_unrepaired": 0' "$tmp/report.json"
 
     # The same pipeline through cmd/minimd, the other user of the shared
-    # command driver (harness.Driver), streaming to stdout so the summary
+    # command driver (harness.Driver), exporting to stdout so the summary
     # must move to stderr and the pipe carries pure JSONL.
-    banner "report: minimd -stream -events - | obsreport"
+    banner "report: minimd -events - | obsreport"
     go run ./cmd/minimd -ranks 4 -size 50 -steps 12 -interval 3 \
-        -fail -stream -events - | go run ./cmd/obsreport -json > "$tmp/md-report.json"
+        -fail -events - | go run ./cmd/obsreport -json > "$tmp/md-report.json"
     grep -q '"failures_repaired": 1' "$tmp/md-report.json"
     grep -q '"failures_unrepaired": 0' "$tmp/md-report.json"
 }
