@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // campaignCells is the pinned replay table. The first len(Modes)*len(Apps)
@@ -431,3 +435,71 @@ func TestEventsExportErrorIsViolation(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestAnalyzeMemoryMatchesFile pins that a chaos log analyzes to the same
+// report from memory (Recorder.Events) as from its export (WriteJSONL then
+// ReadJSONL). The node cell kills two ranks at one virtual instant. Its log
+// is re-emitted with every same-instant group in descending rank order, the
+// worst case of the racy cross-rank emission sequence, so an analyzer that
+// orders by anything but (t, rank, seq) sees the two inputs differently.
+func TestAnalyzeMemoryMatchesFile(t *testing.T) {
+	cfg, err := ConfigForSeed(6, ModeNode, AppHeatdis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run bytes.Buffer
+	if rep := RunOneStreaming(cfg, NewRefCache(), 0, &run); !rep.OK() {
+		t.Fatalf("node cell failed: %v", rep.Violations)
+	}
+	logged, err := analyze.ReadJSONL(&run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	crossRank := false
+	for i := 0; i < len(logged); {
+		j := i
+		for j < len(logged) && logged[j].Time == logged[i].Time {
+			j++
+		}
+		// logged[i:j] is sorted by rank: emit its rank runs last to first.
+		for end := j; end > i; {
+			start := end - 1
+			for start > i && logged[start-1].Rank == logged[end-1].Rank {
+				start--
+			}
+			for _, e := range logged[start:end] {
+				rec.Emit(e.Time, e.Rank, e.Layer, e.Name, e.Attrs...)
+			}
+			crossRank = crossRank || start > i
+			end = start
+		}
+		i = j
+	}
+	if !crossRank {
+		t.Fatal("log has no same-instant events from different ranks")
+	}
+
+	mem, err := analyze.Analyze(rec.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := rec.WriteJSONL(&out); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := analyze.ReadJSONL(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := analyze.Analyze(fromFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mem.Spans) == 0 || len(mem.Spans[0].FailedSlots) != 2 {
+		t.Fatalf("node cell spans %+v, want a two-slot repair first", mem.Spans)
+	}
+	if !reflect.DeepEqual(mem, file) {
+		t.Fatalf("memory and file reports differ:\nmemory %+v\nfile   %+v", mem, file)
+	}
+}

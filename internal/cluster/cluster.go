@@ -109,7 +109,9 @@ func (n *Node) ID() int { return n.id }
 
 // ScratchWrite stores data under key in node-local scratch and returns the
 // virtual duration of the copy (a memory-bandwidth-bound memcpy). The caller
-// charges this duration to its clock.
+// charges this duration to its clock. Scratch takes ownership of data, as
+// PFS.write does: the caller must never mutate it afterwards, because
+// reads and node flushes hand out the same slice.
 func (n *Node) ScratchWrite(key string, data []byte) float64 {
 	return n.ScratchWriteSized(key, data, len(data))
 }
@@ -117,16 +119,15 @@ func (n *Node) ScratchWrite(key string, data []byte) float64 {
 // ScratchWriteSized is ScratchWrite with the cost model charged for
 // simBytes instead of the real buffer length.
 func (n *Node) ScratchWriteSized(key string, data []byte, simBytes int) float64 {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	n.mu.Lock()
-	n.scratch[key] = stored{data: cp, simBytes: simBytes}
+	n.scratch[key] = stored{data: data, simBytes: simBytes}
 	n.mu.Unlock()
 	return n.machine.MemcpyTime(simBytes)
 }
 
-// ScratchRead returns a copy of the data stored under key and the virtual
-// duration of the read, or ok=false if absent.
+// ScratchRead returns the data stored under key and the virtual duration
+// of the read, or ok=false if absent. The slice is the stored one, not a
+// copy: callers must treat it as read-only.
 func (n *Node) ScratchRead(key string) (data []byte, cost float64, ok bool) {
 	n.mu.Lock()
 	s, ok := n.scratch[key]
@@ -134,9 +135,7 @@ func (n *Node) ScratchRead(key string) (data []byte, cost float64, ok bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	cp := make([]byte, len(s.data))
-	copy(cp, s.data)
-	return cp, n.machine.MemcpyTime(s.simBytes), true
+	return s.data, n.machine.MemcpyTime(s.simBytes), true
 }
 
 // ScratchSimBytesOf returns the cost-model size of the scratch entry under

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -314,9 +315,11 @@ func (s *Session) boundaryShadow(iter int, views []kokkos.View) error {
 		}
 		return nil
 	}
-	s.shadow = s.shadow[:0]
-	for _, v := range views {
-		s.shadow = append(s.shadow, v.Serialize())
+	// Re-encode into the previous images' buffers: in steady state a
+	// boundary costs no allocation.
+	s.shadow = slices.Grow(s.shadow[:0], len(views))[:len(views)]
+	for i, v := range views {
+		s.shadow[i] = v.AppendBytes(s.shadow[i][:0])
 	}
 	s.shadowIter = iter
 	return nil

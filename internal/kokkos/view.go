@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // allocation is the identity token shared by every View header referencing
@@ -42,6 +43,9 @@ type View interface {
 	Dry() bool
 	// Serialize returns the view contents as bytes. Panics on dry views.
 	Serialize() []byte
+	// AppendBytes appends the Serialize encoding to dst and returns the
+	// extended slice, growing dst at most once. Panics on dry views.
+	AppendBytes(dst []byte) []byte
 	// Deserialize overwrites the view contents from bytes.
 	Deserialize(b []byte) error
 	// alloc returns the shared allocation identity.
@@ -76,6 +80,12 @@ func (h *viewHeader) Shape() []int       { return append([]int(nil), h.shape...)
 func (h *viewHeader) Len() int           { return flatLen(h.shape) }
 func (h *viewHeader) Dry() bool          { return h.dry }
 func (h *viewHeader) alloc() *allocation { return h.id }
+
+func (h *viewHeader) mustWet(op string) {
+	if h.dry {
+		panic(fmt.Sprintf("kokkos: %s on dry view %q", op, h.label))
+	}
+}
 
 // F64View is a view of float64 elements.
 type F64View struct {
@@ -139,20 +149,22 @@ func (v *F64View) SimBytes() int {
 // SetSimBytes overrides the cost-model footprint (see View.SimBytes).
 func (v *F64View) SetSimBytes(n int) { v.simBytes = n }
 
-func (v *F64View) mustWet(op string) {
-	if v.dry {
-		panic(fmt.Sprintf("kokkos: %s on dry view %q", op, v.label))
-	}
-}
-
 // Serialize returns the contents as little-endian bytes.
 func (v *F64View) Serialize() []byte {
 	v.mustWet("Serialize")
-	out := make([]byte, 8*len(v.data))
+	return v.AppendBytes(make([]byte, 0, v.SizeBytes()))
+}
+
+// AppendBytes appends the contents to dst as little-endian bytes.
+func (v *F64View) AppendBytes(dst []byte) []byte {
+	v.mustWet("AppendBytes")
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(v.data))[:n+8*len(v.data)]
+	out := dst[n:]
 	for i, x := range v.data {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
 	}
-	return out
+	return dst
 }
 
 // Deserialize overwrites the contents from Serialize output.
@@ -194,9 +206,7 @@ func (v *I32View) Ref(label string) *I32View {
 
 // Data returns the underlying storage. Panics on dry views.
 func (v *I32View) Data() []int32 {
-	if v.dry {
-		panic(fmt.Sprintf("kokkos: Data on dry view %q", v.label))
-	}
+	v.mustWet("Data")
 	return v.data
 }
 
@@ -225,21 +235,25 @@ func (v *I32View) SetSimBytes(n int) { v.simBytes = n }
 
 // Serialize returns the contents as little-endian bytes.
 func (v *I32View) Serialize() []byte {
-	if v.dry {
-		panic(fmt.Sprintf("kokkos: Serialize on dry view %q", v.label))
-	}
-	out := make([]byte, 4*len(v.data))
+	v.mustWet("Serialize")
+	return v.AppendBytes(make([]byte, 0, v.SizeBytes()))
+}
+
+// AppendBytes appends the contents to dst as little-endian bytes.
+func (v *I32View) AppendBytes(dst []byte) []byte {
+	v.mustWet("AppendBytes")
+	n := len(dst)
+	dst = slices.Grow(dst, 4*len(v.data))[:n+4*len(v.data)]
+	out := dst[n:]
 	for i, x := range v.data {
 		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
 	}
-	return out
+	return dst
 }
 
 // Deserialize overwrites the contents from Serialize output.
 func (v *I32View) Deserialize(b []byte) error {
-	if v.dry {
-		panic(fmt.Sprintf("kokkos: Deserialize on dry view %q", v.label))
-	}
+	v.mustWet("Deserialize")
 	if len(b) != 4*len(v.data) {
 		return fmt.Errorf("kokkos: view %q expects %d bytes, got %d", v.label, 4*len(v.data), len(b))
 	}

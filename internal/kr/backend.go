@@ -19,10 +19,11 @@ type blobRegion struct {
 
 func (r blobRegion) Bytes() []byte { return *r.b }
 
+// Restore keeps data without copying it: VeloC hands over a slice of its
+// stored frame, which is read-only, and the backend only passes it on to
+// be decoded into the views.
 func (r blobRegion) Restore(data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	*r.b = cp
+	*r.b = data
 	return nil
 }
 
@@ -40,7 +41,7 @@ func (r blobRegion) SimBytes() int {
 type VeloCBackend struct {
 	client *veloc.Client
 	name   string
-	blob   []byte
+	blob   []byte // the protected region's bytes, set only during a call
 	sim    int
 }
 
@@ -55,9 +56,12 @@ func NewVeloCBackend(client *veloc.Client, name string) *VeloCBackend {
 // Checkpoint persists blob as the given version via VeloC. A version
 // discarded by VeloC's integrity verification surfaces as ErrRejected.
 func (b *VeloCBackend) Checkpoint(version int, blob []byte, simBytes int) error {
-	b.blob = blob
-	b.sim = simBytes
-	if err := b.client.Checkpoint(b.name, version); err != nil {
+	b.blob, b.sim = blob, simBytes
+	err := b.client.Checkpoint(b.name, version)
+	// VeloC has copied the blob into its own frame: release it rather than
+	// keep a view-sized buffer alive until the next checkpoint.
+	b.blob = nil
+	if err != nil {
 		if errors.Is(err, veloc.ErrRejected) {
 			return fmt.Errorf("%w: version %d", ErrRejected, version)
 		}
@@ -68,13 +72,16 @@ func (b *VeloCBackend) Checkpoint(version int, blob []byte, simBytes int) error 
 
 // Restore retrieves the blob for version via VeloC.
 func (b *VeloCBackend) Restore(version int) ([]byte, error) {
-	if err := b.client.Restart(b.name, version); err != nil {
+	err := b.client.Restart(b.name, version)
+	blob := b.blob
+	b.blob = nil // a slice of the stored frame; only the caller decodes it
+	if err != nil {
 		if errors.Is(err, veloc.ErrNoCheckpoint) {
 			return nil, fmt.Errorf("%w: version %d", ErrNoCheckpoint, version)
 		}
 		return nil, err
 	}
-	return b.blob, nil
+	return blob, nil
 }
 
 // LatestVersion returns the newest version restorable at every rank of

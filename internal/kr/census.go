@@ -88,15 +88,17 @@ func (c Census) CheckpointedViews() []kokkos.View { return c.checkpointed }
 // dry views too, enabling the Figure 7 census at sizes too large to
 // allocate.
 func CensusOf(views []kokkos.View, aliases map[string]bool) Census {
-	var c Census
-	var reps []kokkos.View // representative view per allocation
+	c := Census{
+		Records:      make([]ViewRecord, 0, len(views)),
+		checkpointed: make([]kokkos.View, 0, len(views)),
+	}
 	for _, v := range views {
 		if aliases[v.Label()] {
 			c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: Alias})
 			continue
 		}
 		dup := false
-		for _, r := range reps {
+		for _, r := range c.checkpointed { // one representative per allocation
 			if kokkos.SameAllocation(r, v) {
 				dup = true
 				break
@@ -106,7 +108,6 @@ func CensusOf(views []kokkos.View, aliases map[string]bool) Census {
 			c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: Skipped})
 			continue
 		}
-		reps = append(reps, v)
 		c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: Checkpointed})
 		c.checkpointed = append(c.checkpointed, v)
 	}

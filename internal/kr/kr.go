@@ -332,21 +332,22 @@ func (c *Context) Census() Census { return c.census }
 // serializeViews encodes views as: u32 crc32 (IEEE, over the rest), u32
 // count, then per view u32 label len, label, u32 data len, data. The CRC
 // is the KR codec's own integrity check, verified before every commit and
-// restore independently of the data backend's blob checksum.
+// restore independently of the data backend's blob checksum. The blob is
+// sized exactly up front and every view encodes straight into it: one
+// allocation per checkpoint, no per-view copy.
 func serializeViews(views []kokkos.View) []byte {
-	out := make([]byte, 4)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(views)))
-	out = append(out, hdr[:]...)
+	size := 8
+	for _, v := range views {
+		size += 8 + len(v.Label()) + v.SizeBytes()
+	}
+	out := make([]byte, 4, size)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(views)))
 	for _, v := range views {
 		label := v.Label()
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(label)))
-		out = append(out, hdr[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(label)))
 		out = append(out, label...)
-		data := v.Serialize()
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-		out = append(out, hdr[:]...)
-		out = append(out, data...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(v.SizeBytes()))
+		out = v.AppendBytes(out)
 	}
 	binary.LittleEndian.PutUint32(out[:4], crc32.ChecksumIEEE(out[4:]))
 	return out

@@ -1,8 +1,11 @@
 package kr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -447,6 +450,71 @@ func TestTwoIndependentContexts(t *testing.T) {
 		}
 		if b.At(0) != -1 {
 			t.Errorf("particles state touched by fields restore: b=%v", b.At(0))
+		}
+		return nil
+	})
+}
+
+// TestRestoreAliasesScratchBlob covers the hazard of restoring in place:
+// a restore leaves the backend holding a slice of the stored scratch blob,
+// so nothing on the checkpoint path may write through it. Checkpoint v,
+// restore it, mutate the views, checkpoint v+1, and restore v again: the
+// views must read v's bytes, and v's scratch blob must still pass its CRC.
+func TestRestoreAliasesScratchBlob(t *testing.T) {
+	runRanks(t, 1, func(p *mpi.Proc) error {
+		comm := p.World().CommWorld()
+		client, err := veloc.New(p, veloc.Config{Mode: veloc.Single, Rank: 0, RankSet: true, Verify: true})
+		if err != nil {
+			return err
+		}
+		backend := NewVeloCBackend(client, "alias")
+		ctx, err := MakeContext(p, comm, backend, Config{Interval: 1, RestoreSurvivors: true})
+		if err != nil {
+			return err
+		}
+		x := kokkos.NewF64("x", 64)
+		y := kokkos.NewI32("y", 16)
+		views := []kokkos.View{x, y}
+		fill := func(base int) {
+			for i := range x.Data() {
+				x.Set(i, float64(base+i)/4)
+			}
+			for i := range y.Data() {
+				y.Set(i, int32(base-i))
+			}
+		}
+		noop := func() error { return nil }
+
+		fill(10)
+		if err := ctx.Checkpoint("loop", 0, views, noop); err != nil {
+			return err
+		}
+		want := serializeViews(views)
+		fill(-1)
+		if err := ctx.Reset(comm); err != nil {
+			return err
+		}
+		if err := ctx.Checkpoint("loop", 0, views, noop); err != nil { // restores v0
+			return err
+		}
+		fill(20)
+		if err := ctx.Checkpoint("loop", 1, views, noop); err != nil {
+			return err
+		}
+		fill(30)
+		blob, err := backend.Restore(0)
+		if err != nil {
+			return err
+		}
+		if err := deserializeViews(blob, views); err != nil {
+			return err
+		}
+		if got := serializeViews(views); !bytes.Equal(got, want) {
+			t.Error("second restore of version 0 did not return version 0's bytes")
+		}
+		stored, _, ok := p.Node().ScratchRead("veloc/alias/v0/rank0")
+		if !ok || len(stored) < 8 || crc32.ChecksumIEEE(stored[4:]) != binary.LittleEndian.Uint32(stored) {
+			t.Error("version 0's scratch blob no longer passes its CRC")
 		}
 		return nil
 	})

@@ -241,21 +241,12 @@ type anchor struct {
 }
 
 // Analyze reconstructs recovery spans and aggregate accounting from an
-// event log. The input may come from Recorder.Events (already ordered) or
-// ReadJSONL; it is re-sorted by (time, seq) defensively.
+// event log in obs.SortEvents order, as Recorder.Events and ReadJSONL
+// return it. It does not modify events.
 func Analyze(events []obs.Event) (*Report, error) {
 	if len(events) == 0 {
 		return nil, errors.New("analyze: empty event log")
 	}
-	sorted := make([]obs.Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Time != sorted[j].Time {
-			return sorted[i].Time < sorted[j].Time
-		}
-		return sorted[i].Seq < sorted[j].Seq
-	})
-	events = sorted
 
 	rep := &Report{Events: len(events)}
 

@@ -22,11 +22,12 @@ type wireEvent struct {
 }
 
 // ReadJSONL parses an events JSONL stream (the output of
-// Recorder.WriteJSONL) back into events. JSON
-// objects lose attribute order, so attributes are re-sorted by key; the
-// emission sequence is reconstructed from line order, preserving the
-// file's tie-break order for equal timestamps. Quoted non-finite floats
-// ("NaN", "+Inf", "-Inf") are converted back to float64.
+// Recorder.WriteJSONL) back into events, returned in obs.SortEvents order
+// like Recorder.Events. JSON objects lose attribute order, so attributes
+// are re-sorted by key; the emission sequence is reconstructed from line
+// order, so a WriteJSONL file keeps its own order, tie-breaks included.
+// Quoted non-finite floats ("NaN", "+Inf", "-Inf") are converted back to
+// float64.
 func ReadJSONL(r io.Reader) ([]obs.Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -64,6 +65,7 @@ func ReadJSONL(r io.Reader) ([]obs.Event, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
+	obs.SortEvents(events)
 	return events, nil
 }
 

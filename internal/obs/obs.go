@@ -167,7 +167,7 @@ func (r *Recorder) Len() int {
 }
 
 // Events returns a copy of the retained log ordered by (virtual time,
-// rank, emission sequence); see eventLess. Within one rank the order is
+// rank, emission sequence); see SortEvents. Within one rank the order is
 // causal; across ranks virtual time is the shared ordering the simulation
 // guarantees. Attribute slices are deep-copied, so callers may inspect and
 // mutate the result without aliasing the recorder's (caller-retained)
@@ -185,22 +185,26 @@ func (r *Recorder) Events() []Event {
 			out[i].Attrs = append([]Attr(nil), out[i].Attrs...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
+	SortEvents(out)
 	return out
 }
 
-// eventLess orders events by (Time, Rank, Seq). Same-instant events from
-// different ranks have no causal order; the emission sequence reflects the
-// racy real-time arrival of their goroutines, so rank breaks the tie to
-// keep the log replay-stable (Seq stays the within-rank causal order).
-func eventLess(a, b Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	if a.Rank != b.Rank {
-		return a.Rank < b.Rank
-	}
-	return a.Seq < b.Seq
+// SortEvents orders events in place by (Time, Rank, Seq), the order of
+// Events and WriteJSONL. Same-instant events from different ranks have no
+// causal order; the emission sequence reflects the racy real-time arrival
+// of their goroutines, so rank breaks the tie to keep the log
+// replay-stable (Seq stays the within-rank causal order).
+func SortEvents(events []Event) {
+	sort.Slice(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
+		}
+		return a.Seq < b.Seq
+	})
 }
 
 // WriteJSONL writes the event log as JSON Lines in Events order,

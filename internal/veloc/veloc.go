@@ -224,23 +224,18 @@ func blobIntact(b []byte) bool {
 func (c *Client) serialize() ([]byte, int) {
 	size := 8
 	simSize := 8
-	contents := make(map[int][]byte, len(c.ids))
-	for _, id := range c.ids {
-		b := c.regions[id].Bytes()
-		contents[id] = b
-		size += 8 + len(b)
+	contents := make([][]byte, len(c.ids))
+	for i, id := range c.ids {
+		contents[i] = c.regions[id].Bytes()
+		size += 8 + len(contents[i])
 		simSize += 8 + c.regions[id].SimBytes()
 	}
 	out := make([]byte, 4, size)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(c.ids)))
-	out = append(out, hdr[:]...)
-	for _, id := range c.ids {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(id))
-		out = append(out, hdr[:]...)
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(contents[id])))
-		out = append(out, hdr[:]...)
-		out = append(out, contents[id]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.ids)))
+	for i, id := range c.ids {
+		out = binary.LittleEndian.AppendUint32(out, uint32(id))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(contents[i])))
+		out = append(out, contents[i]...)
 	}
 	binary.LittleEndian.PutUint32(out[:4], crc32.ChecksumIEEE(out[4:]))
 	return out, simSize
