@@ -187,12 +187,7 @@ func (st *state) exchangeHalos(s *core.Session) error {
 		return mpi.EncodeF64(st.h.Data()[i*st.cols : (i+1)*st.cols])
 	}
 	setRow := func(i int, b []byte) error {
-		row, err := mpi.DecodeF64(b)
-		if err != nil {
-			return err
-		}
-		copy(st.h.Data()[i*st.cols:(i+1)*st.cols], row)
-		return nil
+		return mpi.DecodeF64Into(st.h.Data()[i*st.cols:(i+1)*st.cols], b)
 	}
 	simRow := 8 * simCols
 

@@ -50,9 +50,10 @@ func (c *Config2D) normalize() {
 type state2D struct {
 	h, g    *kokkos.F64View
 	capture []kokkos.View
-	br, bc  int // interior block size
-	pr, pc  int // process grid
-	cr, cc  int // this rank's grid coordinates
+	br, bc  int       // interior block size
+	colBuf  []float64 // one column halo, packed to send or decoded on receipt
+	pr, pc  int       // process grid
+	cr, cc  int       // this rank's grid coordinates
 }
 
 func newState2D(cfg *Config2D, s *core.Session, cart *mpi.Cart) (*state2D, error) {
@@ -64,6 +65,7 @@ func newState2D(cfg *Config2D, s *core.Session, cart *mpi.Cart) (*state2D, error
 	gc := roundUp(cfg.GlobalCols, st.pc)
 	st.br = gr / st.pr
 	st.bc = gc / st.pc
+	st.colBuf = make([]float64, st.br+2)
 
 	st.h = kokkos.NewF64("heat2d", st.br+2, st.bc+2)
 	st.g = kokkos.NewF64("heat2d_next", st.br+2, st.bc+2)
@@ -103,16 +105,19 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 
 	row := func(i int) []float64 { return st.h.Data()[i*w : (i+1)*w] }
 	col := func(j int) []float64 {
-		out := make([]float64, st.br+2)
-		for i := 0; i < st.br+2; i++ {
-			out[i] = st.h.At2(i, j)
+		for i := range st.colBuf {
+			st.colBuf[i] = st.h.At2(i, j)
 		}
-		return out
+		return st.colBuf
 	}
-	setCol := func(j int, v []float64) {
-		for i := 0; i < st.br+2; i++ {
-			st.h.Set2(i, j, v[i])
+	setCol := func(j int, b []byte) error {
+		if err := mpi.DecodeF64Into(st.colBuf, b); err != nil {
+			return err
 		}
+		for i, v := range st.colBuf {
+			st.h.Set2(i, j, v)
+		}
+		return nil
 	}
 
 	// Vertical: dim 0. Send the top interior row up, bottom interior row
@@ -125,22 +130,18 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 		if err != nil {
 			return err
 		}
-		v, err := mpi.DecodeF64(got)
-		if err != nil {
+		if err := mpi.DecodeF64Into(row(0), got); err != nil {
 			return err
 		}
-		copy(row(0), v)
 	}
 	if below >= 0 {
 		got, err := comm.SendrecvSized(p, below, tag2dRow, mpi.EncodeF64(row(st.br)), simEdgeBytes, below, tag2dRow)
 		if err != nil {
 			return err
 		}
-		v, err := mpi.DecodeF64(got)
-		if err != nil {
+		if err := mpi.DecodeF64Into(row(st.br+1), got); err != nil {
 			return err
 		}
-		copy(row(st.br+1), v)
 	}
 
 	// Horizontal: dim 1.
@@ -150,22 +151,18 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 		if err != nil {
 			return err
 		}
-		v, err := mpi.DecodeF64(got)
-		if err != nil {
+		if err := setCol(0, got); err != nil {
 			return err
 		}
-		setCol(0, v)
 	}
 	if right >= 0 {
 		got, err := comm.SendrecvSized(p, right, tag2dCol, mpi.EncodeF64(col(st.bc)), simEdgeBytes, right, tag2dCol)
 		if err != nil {
 			return err
 		}
-		v, err := mpi.DecodeF64(got)
-		if err != nil {
+		if err := setCol(st.bc+1, got); err != nil {
 			return err
 		}
-		setCol(st.bc+1, v)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package minimd
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -119,18 +121,11 @@ func (st *state) communicate(s *core.Session) error {
 	if err != nil {
 		return err
 	}
-	fromUpPos, err := mpi.DecodeF64(payloads[0])
-	if err != nil {
-		return err
-	}
-	fromDownPos, err := mpi.DecodeF64(payloads[1])
-	if err != nil {
-		return err
-	}
-
-	if len(fromDownPos) != fromDown*3 || len(fromUpPos) != fromUp*3 {
-		return fmt.Errorf("minimd: ghost payload mismatch: got %d/%d, want %d/%d",
-			len(fromDownPos)/3, len(fromUpPos)/3, fromDown, fromUp)
+	st.ghostUp = slices.Grow(st.ghostUp[:0], fromUp*3)[:fromUp*3]
+	st.ghostDown = slices.Grow(st.ghostDown[:0], fromDown*3)[:fromDown*3]
+	fromUpPos, fromDownPos := st.ghostUp, st.ghostDown
+	if err := errors.Join(mpi.DecodeF64Into(fromUpPos, payloads[0]), mpi.DecodeF64Into(fromDownPos, payloads[1])); err != nil {
+		return fmt.Errorf("minimd: ghost payload mismatch: %w", err)
 	}
 
 	// Store ghosts: from-down first, then from-up, with periodic z shifts

@@ -31,6 +31,10 @@ type state struct {
 
 	simAtoms  int
 	simGhosts int
+
+	// ghostUp and ghostDown receive the neighbours' border positions,
+	// reused across steps.
+	ghostUp, ghostDown []float64
 }
 
 // newState builds the per-rank lattice for logical rank `rank` of `p`

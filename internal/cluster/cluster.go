@@ -341,10 +341,12 @@ func (p *PFS) FailPending(owner int, t float64) {
 	}
 }
 
-// Read returns a copy of the data under key. ready is the virtual time at
+// Read returns the data stored under key. ready is the virtual time at
 // which the read completes for a caller starting at time start: if the file
 // is still being flushed the reader waits for availability, then pays the
 // read latency and bandwidth cost. ok is false if the key does not exist.
+// PFS files are immutable (write takes ownership), so the slice is the
+// stored one, not a copy: callers must treat it as read-only.
 func (p *PFS) Read(key string, start float64) (data []byte, ready float64, ok bool) {
 	p.mu.Lock()
 	f, ok := p.files[key]
@@ -356,10 +358,8 @@ func (p *PFS) Read(key string, start float64) (data []byte, ready float64, ok bo
 	if f.availableAt > begin {
 		begin = f.availableAt
 	}
-	cp := make([]byte, len(f.data))
-	copy(cp, f.data)
 	ready = begin + p.machine.PFSLatency + float64(f.simBytes)/p.machine.PFSReadBandwidth
-	return cp, ready, true
+	return f.data, ready, true
 }
 
 // SimBytesOf returns the cost-model size of the file under key, or

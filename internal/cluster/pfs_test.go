@@ -148,11 +148,26 @@ func TestPFSWriteCopiesCallerBuffer(t *testing.T) {
 		if !ok || !bytes.Equal(got, []byte{1, 2, 3}) {
 			t.Fatalf("%s: read %v after caller mutation, want [1 2 3]", name, got)
 		}
-		got[1] = 9
-		again, _, _ := p.Read("f", end)
-		if !bytes.Equal(again, []byte{1, 2, 3}) {
-			t.Fatalf("%s: read %v after mutating an earlier read, want [1 2 3]", name, again)
-		}
+	}
+}
+
+// TestPFSReadReturnsStoredBytes pins the read side of the PFS contract:
+// files are immutable, so a read returns the stored slice itself, without
+// allocating, and every reader sees the same bytes.
+func TestPFSReadReturnsStoredBytes(t *testing.T) {
+	n := New(1, testMachine()).Node(0)
+	blob := []byte("checkpoint v1")
+	n.ScratchWrite("ck", blob)
+	end, err := n.FlushAsyncFor("ck", "pfs/ck", 0, NoOwner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, ok := n.pfs.Read("pfs/ck", end)
+	if !ok || &got[0] != &blob[0] || len(got) != len(blob) {
+		t.Fatalf("PFS read returned %q ok=%v, want the stored blob itself", got, ok)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { n.pfs.Read("pfs/ck", end) }); allocs != 0 {
+		t.Fatalf("PFS Read allocated %v times, want 0", allocs)
 	}
 }
 

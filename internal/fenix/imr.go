@@ -18,6 +18,11 @@ import (
 // node-local recovery on surviving ranks. Recovery of a failed rank's data
 // requires one network transfer from its buddy; losing both members of a
 // pair between checkpoints loses the data (ErrIMRDataLost).
+//
+// The store keeps what it is handed, without copying: the blob a rank
+// checkpoints is its own stored copy and the message its buddy receives,
+// and the buddy's received payload is the buddy copy. Every stored blob is
+// read-only, and so is the blob Restore returns.
 
 // ErrIMRDataLost is returned when both members of a buddy pair failed and
 // the checkpoint data is unrecoverable.
@@ -96,7 +101,8 @@ const imrTag = 0x1397
 // synchronous exchange with the buddy rank. The entire cost — memory copy
 // and network transfer — is charged to the CheckpointFunc category, which
 // is why the paper observes IMR checkpoint-function cost scaling directly
-// with data size.
+// with data size. The caller relinquishes blob: it must not write it
+// afterwards.
 func (im *IMR) Checkpoint(v int, blob []byte) error {
 	return im.CheckpointSized(v, blob, len(blob))
 }
@@ -109,9 +115,7 @@ func (im *IMR) CheckpointSized(v int, blob []byte, simBytes int) error {
 	me := ctx.Rank()
 	buddy := BuddyOf(me)
 
-	// Local copy.
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
+	// Local copy: charged as a memcpy, stored as the blob itself.
 	copyCost := p.Machine().MemcpyTime(simBytes)
 	p.ChargeTime(trace.CheckpointFunc, copyCost)
 
@@ -135,10 +139,8 @@ func (im *IMR) CheckpointSized(v int, blob []byte, simBytes int) error {
 	mine := im.slotStore(me)
 	rt := ctx.rt
 	rt.mu.Lock()
-	mine.own[v] = imrBlob{data: cp, simBytes: simBytes}
-	tb := make([]byte, len(theirs))
-	copy(tb, theirs)
-	mine.buddy[v] = imrBlob{data: tb, simBytes: simBytes}
+	mine.own[v] = imrBlob{data: blob, simBytes: simBytes}
+	mine.buddy[v] = imrBlob{data: theirs, simBytes: simBytes}
 	gcVersions(mine.own, rt.imrKeep)
 	gcVersions(mine.buddy, rt.imrKeep)
 	rt.mu.Unlock()
@@ -271,10 +273,8 @@ func (im *IMR) Restore(v int) ([]byte, error) {
 				return nil, err
 			}
 		}
-		out := make([]byte, len(local))
-		copy(out, local)
 		noteRestore(localSim, "local")
-		return out, nil
+		return local, nil
 	}
 
 	if !buddyHas {
@@ -286,15 +286,13 @@ func (im *IMR) Restore(v int) ([]byte, error) {
 	}
 	// Repopulate the local store so subsequent failures of the buddy can
 	// be served.
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
 	rt.mu.Lock()
 	s, ok := rt.imr[me]
 	if !ok {
 		s = newIMRSlot()
 		rt.imr[me] = s
 	}
-	s.own[v] = imrBlob{data: cp, simBytes: mySimAtBuddy}
+	s.own[v] = imrBlob{data: blob, simBytes: mySimAtBuddy}
 	gcVersions(s.own, rt.imrKeep)
 	rt.mu.Unlock()
 	noteRestore(mySimAtBuddy, "buddy")

@@ -93,23 +93,38 @@ func CensusOf(views []kokkos.View, aliases map[string]bool) Census {
 		checkpointed: make([]kokkos.View, 0, len(views)),
 	}
 	for _, v := range views {
-		if aliases[v.Label()] {
-			c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: Alias})
-			continue
+		class := classify(v, c.checkpointed, aliases)
+		c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: class})
+		if class == Checkpointed {
+			c.checkpointed = append(c.checkpointed, v)
 		}
-		dup := false
-		for _, r := range c.checkpointed { // one representative per allocation
-			if kokkos.SameAllocation(r, v) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: Skipped})
-			continue
-		}
-		c.Records = append(c.Records, ViewRecord{Label: v.Label(), Bytes: v.SimBytes(), Class: Checkpointed})
-		c.checkpointed = append(c.checkpointed, v)
 	}
 	return c
+}
+
+// checkpointedViews returns the views of a capture list that CensusOf
+// classifies Checkpointed, in capture order, in buf's storage and without
+// building the census records.
+func checkpointedViews(buf, views []kokkos.View, aliases map[string]bool) []kokkos.View {
+	buf = buf[:0]
+	for _, v := range views {
+		if classify(v, buf, aliases) == Checkpointed {
+			buf = append(buf, v)
+		}
+	}
+	return buf
+}
+
+// classify returns v's class given the views already checkpointed before
+// it in the same capture list.
+func classify(v kokkos.View, checkpointed []kokkos.View, aliases map[string]bool) Class {
+	if aliases[v.Label()] {
+		return Alias
+	}
+	for _, r := range checkpointed { // one representative per allocation
+		if kokkos.SameAllocation(r, v) {
+			return Skipped
+		}
+	}
+	return Checkpointed
 }

@@ -108,7 +108,8 @@ type Context struct {
 	latest          int // newest globally-available version; -1 if none
 	recoveryPending bool
 	aliases         map[string]bool
-	census          Census
+	captured        []kokkos.View // the most recent Checkpoint call's capture list
+	checkpointed    []kokkos.View // its unique serialized views, reused per call
 }
 
 // perRegionOverhead is the control-flow bookkeeping cost of one checkpoint
@@ -218,8 +219,9 @@ func (c *Context) DeclareAliases(primary, alias string) {
 //     views are serialized and handed to the data backend.
 func (c *Context) Checkpoint(label string, iter int, views []kokkos.View, body func() error) error {
 	c.p.Inject("kr.region")
-	cap := CensusOf(views, c.aliases)
-	c.census = cap
+	c.captured = views
+	c.checkpointed = checkpointedViews(c.checkpointed, views, c.aliases)
+	ckpt := c.checkpointed
 	c.p.ChargeTime(trace.ResilienceInit, perRegionOverhead+perViewOverhead*float64(len(views)))
 	c.p.Obs().Registry().Counter(obs.MKRRegions).Inc()
 
@@ -232,7 +234,7 @@ func (c *Context) Checkpoint(label string, iter int, views []kokkos.View, body f
 			// data), keeping all ranks' communication aligned. Localized
 			// recovery degrades to this path when the message log was
 			// disabled (shrink compaction changed slot identity).
-			return c.restore(label, iter, cap.checkpointed, "")
+			return c.restore(label, iter, ckpt, "")
 		case c.cfg.Localized:
 			// Localized recovery: only the recovered rank restores, and the
 			// region body is NOT re-executed collectively — the restored
@@ -242,14 +244,14 @@ func (c *Context) Checkpoint(label string, iter int, views []kokkos.View, body f
 			// executed iterations via SkipRestore, so a survivor normally
 			// never reaches this branch; one that does executes live).
 			if c.cfg.Recovered() {
-				return c.restore(label, iter, cap.checkpointed, "localized")
+				return c.restore(label, iter, ckpt, "localized")
 			}
 		case c.cfg.Recovered != nil && c.cfg.Recovered():
 			// Partial rollback: only the recovered rank rolls its data back,
 			// then ALL ranks execute the body — survivors with their newer
 			// in-progress data, the recovered rank with checkpoint data — so
 			// collectives stay aligned while the solver re-converges.
-			if err := c.restore(label, iter, cap.checkpointed, ""); err != nil {
+			if err := c.restore(label, iter, ckpt, ""); err != nil {
 				return err
 			}
 		}
@@ -260,14 +262,14 @@ func (c *Context) Checkpoint(label string, iter int, views []kokkos.View, body f
 	}
 
 	if c.cfg.shouldCheckpoint(iter) {
-		blob := serializeViews(cap.checkpointed)
+		blob := serializeViews(ckpt)
 		simBytes := 0
-		for _, v := range cap.checkpointed {
+		for _, v := range ckpt {
 			simBytes += v.SimBytes()
 		}
 		c.p.Event(obs.LayerKR, obs.EvKRCheckpointBegin,
 			obs.KV("label", label), obs.KV("version", iter),
-			obs.KV("views", len(cap.checkpointed)), obs.KV("bytes", simBytes))
+			obs.KV("views", len(ckpt)), obs.KV("bytes", simBytes))
 		// A kill here models a failure inside the checkpoint region after
 		// the body ran but before the data backend commits the version.
 		c.p.Inject("kr.commit")
@@ -325,9 +327,9 @@ func (c *Context) restore(label string, iter int, views []kokkos.View, mode stri
 	return nil
 }
 
-// Census returns the view classification of the most recent Checkpoint
-// call (the data behind the paper's Figure 7).
-func (c *Context) Census() Census { return c.census }
+// Census classifies the capture list of the most recent Checkpoint call
+// (the data behind the paper's Figure 7).
+func (c *Context) Census() Census { return CensusOf(c.captured, c.aliases) }
 
 // serializeViews encodes views as: u32 crc32 (IEEE, over the rest), u32
 // count, then per view u32 label len, label, u32 data len, data. The CRC

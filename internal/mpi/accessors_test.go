@@ -70,8 +70,8 @@ func TestSendrecvF64(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		in, err := DecodeF64(b)
-		if err != nil {
+		in := make([]float64, 1)
+		if err := DecodeF64Into(in, b); err != nil {
 			return err
 		}
 		if in[0] != float64(other)+0.25 {

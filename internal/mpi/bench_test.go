@@ -98,10 +98,11 @@ func BenchmarkEncodeDecodeF64(b *testing.B) {
 	for i := range v {
 		v[i] = float64(i) * 0.5
 	}
+	dst := make([]float64, len(v))
 	b.SetBytes(int64(8 * len(v)))
 	for i := 0; i < b.N; i++ {
 		enc := EncodeF64(v)
-		if _, err := DecodeF64(enc); err != nil {
+		if err := DecodeF64Into(dst, enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"math"
 )
 
-// EncodeF64 serializes a float64 slice to little-endian bytes.
+// EncodeF64 serializes a float64 slice to little-endian bytes. Its one
+// allocation is the message: the result is meant to be sent, after which
+// the sender must not write it again.
 func EncodeF64(v []float64) []byte {
 	out := make([]byte, 8*len(v))
 	for i, x := range v {
@@ -15,14 +17,14 @@ func EncodeF64(v []float64) []byte {
 	return out
 }
 
-// DecodeF64 deserializes little-endian bytes produced by EncodeF64.
-func DecodeF64(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("mpi: float64 payload length %d not a multiple of 8", len(b))
+// DecodeF64Into deserializes little-endian bytes produced by EncodeF64
+// into dst, which must hold exactly len(b)/8 values. It does not allocate.
+func DecodeF64Into(dst []float64, b []byte) error {
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("mpi: float64 payload of %d bytes does not fill %d values", len(b), len(dst))
 	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out, nil
+	return nil
 }

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -164,6 +163,10 @@ func (c *Comm) checkMember(p *Proc, op string) int {
 // completes locally and the failure surfaces at the next completion point,
 // keeping every operation's outcome a function of virtual time and program
 // order only.
+//
+// data is the message itself, not copied: the receiver, and on a logged
+// communicator the message log, read the same slice. The sender must not
+// write data after sending it, and a received payload is read-only.
 func (c *Comm) Send(p *Proc, dst, tag int, data []byte) error {
 	return c.SendSized(p, dst, tag, data, len(data))
 }
@@ -219,23 +222,30 @@ func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int,
 			return arrive, nil
 		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	if sawPayload != nil {
+		sawPayload(data)
+	}
 	c.world.procs[dstW].mail.deliver(
 		msgKey{comm: c.id, src: p.rank, tag: tag},
-		message{data: cp, arriveAt: arrive, seq: seq},
+		message{data: data, arriveAt: arrive, seq: seq},
 	)
 	if l != nil {
 		// Deliver before append: a receiver that sees the log entry is
-		// guaranteed the mailbox copy exists too.
+		// guaranteed the mailbox entry exists too.
 		l.AppendP2P(lkey, data, simBytes, arrive)
 		p.bumpSend(lkey, seq)
-		p.Event(obs.LayerMPI, obs.EvMsgLogged, obs.KV("peer", dst), obs.KV("tag", tag), obs.KV("bytes", simBytes))
-		p.world.obs.Registry().Counter(obs.MMsgLogged).Inc()
-		p.msglogGauges(l)
+		if p.world.obs.Enabled() {
+			p.Event(obs.LayerMPI, obs.EvMsgLogged, obs.KV("peer", dst), obs.KV("tag", tag), obs.KV("bytes", simBytes))
+			p.world.obs.Registry().Counter(obs.MMsgLogged).Inc()
+			p.msglogGauges(l)
+		}
 	}
 	return arrive, nil
 }
+
+// sawPayload, when a test sets it, sees every payload post delivers and
+// every payload complete serves, from the mailbox or the message log.
+var sawPayload func(data []byte)
 
 // bumpSend advances the send cursor for lkey past seq.
 func (p *Proc) bumpSend(lkey p2pKey, seq int) {
@@ -280,7 +290,7 @@ func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte
 		seq := p.logRecv[lkey]
 		if e, ok := l.p2pAt(lkey, seq); ok {
 			p.mail.dropThrough(key, seq)
-			msg, fromLog = message{data: bytes.Clone(e.data), arriveAt: e.arriveAt, seq: seq}, true
+			msg, fromLog = message{data: e.data, arriveAt: e.arriveAt, seq: seq}, true
 		}
 	}
 	if !fromLog {
@@ -308,6 +318,9 @@ func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte
 	p.rec.Add(trace.AppMPI, p.clock.Now()-start)
 	if l != nil {
 		p.bumpRecv(l, lkey, msg.seq, fromLog)
+	}
+	if sawPayload != nil {
+		sawPayload(msg.data)
 	}
 	return msg.data, nil
 }

@@ -479,8 +479,8 @@ func TestRevokePoisonsPendingAndFutureOps(t *testing.T) {
 func TestF64CodecRoundTrip(t *testing.T) {
 	f := func(v []float64) bool {
 		// NaN breaks reflect.DeepEqual; compare bitwise instead.
-		dec, err := DecodeF64(EncodeF64(v))
-		if err != nil || len(dec) != len(v) {
+		dec := make([]float64, len(v))
+		if err := DecodeF64Into(dec, EncodeF64(v)); err != nil {
 			return false
 		}
 		for i := range v {
@@ -496,8 +496,11 @@ func TestF64CodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeF64RejectsBadLength(t *testing.T) {
-	if _, err := DecodeF64(make([]byte, 7)); err == nil {
-		t.Fatal("DecodeF64 accepted length 7")
+	if err := DecodeF64Into(make([]float64, 1), make([]byte, 7)); err == nil {
+		t.Fatal("DecodeF64Into accepted length 7")
+	}
+	if err := DecodeF64Into(make([]float64, 1), make([]byte, 16)); err == nil {
+		t.Fatal("DecodeF64Into accepted 16 bytes for one value")
 	}
 }
 
@@ -513,8 +516,8 @@ func TestSendRecvF64(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := DecodeF64(b)
-		if err != nil {
+		got := make([]float64, len(want))
+		if err := DecodeF64Into(got, b); err != nil {
 			return err
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -222,9 +222,11 @@ func (l *MsgLog) ResetOnce(gen int) bool {
 }
 
 // AppendP2P logs one sent message and returns its absolute sequence
-// number. The caller must have already delivered the payload (deliver
-// before append: a receiver that sees the entry is guaranteed the mailbox
-// copy exists too).
+// number. The entry keeps data itself, the slice the mailbox delivered
+// (the sender relinquished it at send), and a replay serves it as is. The
+// caller must have already delivered the payload (deliver before append:
+// a receiver that sees the entry is guaranteed the mailbox entry exists
+// too).
 func (l *MsgLog) AppendP2P(key p2pKey, data []byte, simBytes int, arriveAt float64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -233,9 +235,7 @@ func (l *MsgLog) AppendP2P(key p2pKey, data []byte, simBytes int, arriveAt float
 		pl = &p2pLog{}
 		l.p2p[key] = pl
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	pl.entries = append(pl.entries, p2pEntry{data: cp, simBytes: simBytes, arriveAt: arriveAt})
+	pl.entries = append(pl.entries, p2pEntry{data: data, simBytes: simBytes, arriveAt: arriveAt})
 	l.entries++
 	l.bytes += int64(simBytes)
 	return pl.base + len(pl.entries) - 1
