@@ -134,10 +134,11 @@ func (s *Sink) GlobalChecksum(n int) (float64, error) {
 
 // state is one rank's solver state, persisted across Fenix re-entries.
 type state struct {
-	h, g    *kokkos.F64View // current and next grid (with ghost rows)
-	capture []kokkos.View   // the views the checkpoint lambda captures
-	rows    int             // interior rows
-	cols    int
+	h, g      *kokkos.F64View // current and next grid (with ghost rows)
+	capture   []kokkos.View   // the views the checkpoint lambda captures
+	stepViews []kokkos.View   // the views the stencil region writes
+	rows      int             // interior rows
+	cols      int
 }
 
 const (
@@ -167,6 +168,7 @@ func newState(cfg *Config, s *core.Session) *state {
 	// reference to it (reachable through another object, as the compiler
 	// copies it), and the swap-space grid declared as an alias.
 	st.capture = []kokkos.View{st.h, st.h.Ref("heat_captured"), st.g}
+	st.stepViews = []kokkos.View{st.h, st.g}
 	s.DeclareAliases("heat", "heat_next")
 
 	// Application initialization cost: allocating and first-touching the
@@ -294,7 +296,7 @@ func App(cfg Config, sink *Sink) core.App {
 				// communication-free (halos already exchanged), so the SDC
 				// layer may replay or duplicate it locally without desyncing
 				// the job's collectives.
-				return s.Region("heatdis.step", []kokkos.View{st.h, st.g}, func() {
+				return s.Region("heatdis.step", st.stepViews, func() {
 					localDelta = st.step(&cfg, s)
 				})
 			})
@@ -304,8 +306,8 @@ func App(cfg Config, sink *Sink) core.App {
 			// Global residual: an allreduce every iteration, as in the
 			// VeloC benchmark. Must run outside the region body so the
 			// recovery iteration (restored, body skipped) stays aligned.
-			global, err := s.Comm().AllreduceF64(s.Proc(), []float64{localDelta}, mpi.OpMax)
-			if err != nil {
+			global := [1]float64{localDelta}
+			if _, err := s.Comm().AllreduceF64(s.Proc(), global[:], mpi.OpMax); err != nil {
 				return s.Check(err)
 			}
 			lastDelta = global[0]

@@ -249,8 +249,8 @@ func App2D(cfg Config2D, sink *Sink) core.App {
 			if err != nil {
 				return err
 			}
-			global, err := s.Comm().AllreduceF64(s.Proc(), []float64{local}, mpi.OpMax)
-			if err != nil {
+			global := [1]float64{local}
+			if _, err := s.Comm().AllreduceF64(s.Proc(), global[:], mpi.OpMax); err != nil {
 				return s.Check(err)
 			}
 			lastDelta = global[0]

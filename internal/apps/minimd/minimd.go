@@ -191,8 +191,8 @@ func App(cfg Config, sink *Sink) core.App {
 			// Periodic global thermodynamics (outside the region body so
 			// the recovery iteration stays aligned across ranks).
 			if (i+1)%thermoEvery == 0 {
-				vals, err := s.Comm().AllreduceF64(p, []float64{sv.peAcc.At(0), sv.keAcc.At(0)}, mpi.OpSum)
-				if err != nil {
+				vals := [2]float64{sv.peAcc.At(0), sv.keAcc.At(0)}
+				if _, err := s.Comm().AllreduceF64(p, vals[:], mpi.OpSum); err != nil {
 					return s.Check(err)
 				}
 				slot := (i / thermoEvery) % sv.energyHist.Len()

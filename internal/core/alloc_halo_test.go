@@ -43,8 +43,8 @@ func TestHaloAllocBudget(t *testing.T) {
 		strat         core.Strategy
 		allocs, bytes float64
 	}{
-		{core.StrategyNone, 4.5, 1200},
-		{core.StrategyFenixKRVeloC, 7.5, 5300},
+		{core.StrategyNone, 2.2, 1150},
+		{core.StrategyFenixKRVeloC, 5.2, 3200},
 	} {
 		leastAllocs, leastBytes := ^uint64(0), ^uint64(0)
 		for i := 0; i < 3; i++ {

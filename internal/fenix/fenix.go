@@ -278,15 +278,28 @@ type repair struct {
 	err      error
 }
 
-// registry maps worlds to their Fenix runtime (created by the first rank
-// to call Run).
-var registry sync.Map // *mpi.World -> *runtime
-
+// runtimeFor returns w's Fenix runtime, creating it on the first rank to
+// call Run. It lives in the world's layer slot, so it is collected with
+// the world once the job is done.
 func runtimeFor(w *mpi.World, cfg Config) (*runtime, error) {
 	if cfg.Spares < 0 || cfg.RehostReserve < 0 || cfg.Spares+cfg.RehostReserve >= w.Size() {
 		return nil, fmt.Errorf("fenix: %d spares + %d reserve invalid for world size %d",
 			cfg.Spares, cfg.RehostReserve, w.Size())
 	}
+	got, _ := w.Layer(nil).(*runtime)
+	if got == nil {
+		got = newRuntime(w, cfg)
+	}
+	if got.cfg.Spares != cfg.Spares || got.cfg.RehostReserve != cfg.RehostReserve {
+		return nil, fmt.Errorf("fenix: inconsistent spare counts across ranks (%d+%d vs %d+%d)",
+			got.cfg.Spares, got.cfg.RehostReserve, cfg.Spares, cfg.RehostReserve)
+	}
+	return got, nil
+}
+
+// newRuntime installs a fresh runtime in w's layer slot, or returns the
+// one a concurrent first rank installed there before it.
+func newRuntime(w *mpi.World, cfg Config) *runtime {
 	rt := &runtime{
 		world:     w,
 		cfg:       cfg,
@@ -296,46 +309,41 @@ func runtimeFor(w *mpi.World, cfg Config) (*runtime, error) {
 		imr:       make(map[int]*imrSlot),
 		imrKeep:   2,
 	}
-	actual, loaded := registry.LoadOrStore(w, rt)
-	got := actual.(*runtime)
-	if loaded && (got.cfg.Spares != cfg.Spares || got.cfg.RehostReserve != cfg.RehostReserve) {
-		return nil, fmt.Errorf("fenix: inconsistent spare counts across ranks (%d+%d vs %d+%d)",
-			got.cfg.Spares, got.cfg.RehostReserve, cfg.Spares, cfg.RehostReserve)
+	if got := w.Layer(rt).(*runtime); got != rt {
+		return got
 	}
-	if !loaded {
-		// Re-evaluate pending repairs whenever a failure occurs: a rank
-		// dying mid-recovery must not leave the repair waiting for it.
-		w.RegisterDeathHook(func(wr int) {
-			got.mu.Lock()
-			// A dead spare can never be activated: prune it from the pool
-			// and drop its waiter entry so repairs neither wait for its
-			// registration nor substitute a corpse into the communicator.
-			for i, sp := range got.spares {
-				if sp == wr {
-					got.spares = append(got.spares[:i], got.spares[i+1:]...)
-					break
-				}
+	// Re-evaluate pending repairs whenever a failure occurs: a rank
+	// dying mid-recovery must not leave the repair waiting for it.
+	w.RegisterDeathHook(func(wr int) {
+		rt.mu.Lock()
+		// A dead spare can never be activated: prune it from the pool
+		// and drop its waiter entry so repairs neither wait for its
+		// registration nor substitute a corpse into the communicator.
+		for i, sp := range rt.spares {
+			if sp == wr {
+				rt.spares = append(rt.spares[:i], rt.spares[i+1:]...)
+				break
 			}
-			delete(got.waiters, wr)
-			for _, r := range got.repairs {
-				got.tryCompleteRepairLocked(r)
+		}
+		delete(rt.waiters, wr)
+		for _, r := range rt.repairs {
+			rt.tryCompleteRepairLocked(r)
+		}
+		if rt.jobDoneLocked() {
+			// Every member slot is finalized or dead, so blocked spares
+			// can never be activated. If a member died without
+			// finalizing there is no survivor left to run recovery:
+			// fail the spares so the job reports the loss instead of
+			// deadlocking (or silently succeeding with missing work).
+			var err error
+			if rt.memberDiedUnfinalizedLocked() {
+				err = ErrNoSurvivors
 			}
-			if got.jobDoneLocked() {
-				// Every member slot is finalized or dead, so blocked spares
-				// can never be activated. If a member died without
-				// finalizing there is no survivor left to run recovery:
-				// fail the spares so the job reports the loss instead of
-				// deadlocking (or silently succeeding with missing work).
-				var err error
-				if got.memberDiedUnfinalizedLocked() {
-					err = ErrNoSurvivors
-				}
-				got.releaseSparesLocked(err)
-			}
-			got.mu.Unlock()
-		})
-	}
-	return got, nil
+			rt.releaseSparesLocked(err)
+		}
+		rt.mu.Unlock()
+	})
+	return rt
 }
 
 // initCost is the virtual cost of Fenix initialization beyond the
@@ -676,16 +684,4 @@ func containsInt(xs []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// SpareCount returns the number of unused spares remaining (for tests).
-func SpareCount(p *mpi.Proc) int {
-	v, ok := registry.Load(p.World())
-	if !ok {
-		return 0
-	}
-	rt := v.(*runtime)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.spares)
 }

@@ -1,6 +1,7 @@
 package kr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -58,8 +59,7 @@ func NewVeloCBackend(client *veloc.Client, name string) *VeloCBackend {
 func (b *VeloCBackend) Checkpoint(version int, blob []byte, simBytes int) error {
 	b.blob, b.sim = blob, simBytes
 	err := b.client.Checkpoint(b.name, version)
-	// VeloC has copied the blob into its own frame: release it rather than
-	// keep a view-sized buffer alive until the next checkpoint.
+	// VeloC has copied the blob into its own frame; the Context reuses it.
 	b.blob = nil
 	if err != nil {
 		if errors.Is(err, veloc.ErrRejected) {
@@ -110,9 +110,11 @@ type IMRBackend struct {
 // NewIMRBackend wraps a fenix.IMR handle.
 func NewIMRBackend(imr *fenix.IMR) *IMRBackend { return &IMRBackend{imr: imr} }
 
-// Checkpoint stores blob in memory locally and at the buddy rank.
+// Checkpoint stores a copy of blob in memory locally and at the buddy
+// rank: IMR keeps the blob it is handed and sends it as a message, so it
+// gets its own.
 func (b *IMRBackend) Checkpoint(version int, blob []byte, simBytes int) error {
-	return b.imr.CheckpointSized(version, blob, simBytes)
+	return b.imr.CheckpointSized(version, bytes.Clone(blob), simBytes)
 }
 
 // Restore retrieves blob for version (collective).

@@ -14,7 +14,7 @@ import (
 func FuzzDeserializeViews(f *testing.F) {
 	a := kokkos.NewF64("a", 4)
 	b := kokkos.NewI32("b", 3)
-	f.Add(serializeViews([]kokkos.View{a, b}))
+	f.Add(serializeViews(nil, []kokkos.View{a, b}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0})
@@ -42,7 +42,7 @@ func FuzzFlippedBlobRejected(f *testing.F) {
 		for i := 0; i < 3; i++ {
 			b.Set(i, int32(i+1))
 		}
-		blob := serializeViews([]kokkos.View{a, b})
+		blob := serializeViews(nil, []kokkos.View{a, b})
 		blob[int(site)%len(blob)] ^= 1 << (bit % 8)
 
 		if blobChecksumOK(blob) {

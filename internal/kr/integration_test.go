@@ -55,7 +55,7 @@ func TestCollectiveModeBreaksAfterRepair(t *testing.T) {
 				return err
 			}
 			collBackend := NewVeloCBackend(collClient, "coll")
-			blob := serializeViews([]kokkos.View{x})
+			blob := serializeViews(nil, []kokkos.View{x})
 			if err := collBackend.Checkpoint(0, blob, len(blob)); err != nil {
 				return err
 			}
@@ -90,7 +90,7 @@ func TestCollectiveModeBreaksAfterRepair(t *testing.T) {
 			return err
 		}
 		backend := NewVeloCBackend(single, "single")
-		blob := serializeViews([]kokkos.View{x})
+		blob := serializeViews(nil, []kokkos.View{x})
 		if err := backend.Checkpoint(1, blob, len(blob)); err != nil {
 			return err
 		}

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/kokkos"
 	"repro/internal/mpi"
@@ -57,6 +58,8 @@ var ErrRejected = errors.New("kr: checkpoint version rejected by data backend")
 type Backend interface {
 	// Checkpoint persists blob as the given version. simBytes is the
 	// blob's size in the simulation's cost model (see kokkos.View.SimBytes).
+	// blob is the Context's serialization buffer, which it reuses for its
+	// next checkpoint: a backend copies what it keeps.
 	Checkpoint(version int, blob []byte, simBytes int) error
 	// Restore retrieves the blob for version.
 	Restore(version int) ([]byte, error)
@@ -110,6 +113,7 @@ type Context struct {
 	aliases         map[string]bool
 	captured        []kokkos.View // the most recent Checkpoint call's capture list
 	checkpointed    []kokkos.View // its unique serialized views, reused per call
+	buf             []byte        // the serialization buffer, reused per checkpoint
 }
 
 // perRegionOverhead is the control-flow bookkeeping cost of one checkpoint
@@ -262,7 +266,8 @@ func (c *Context) Checkpoint(label string, iter int, views []kokkos.View, body f
 	}
 
 	if c.cfg.shouldCheckpoint(iter) {
-		blob := serializeViews(ckpt)
+		blob := serializeViews(c.buf, ckpt)
+		c.buf = blob
 		simBytes := 0
 		for _, v := range ckpt {
 			simBytes += v.SimBytes()
@@ -334,15 +339,16 @@ func (c *Context) Census() Census { return CensusOf(c.captured, c.aliases) }
 // serializeViews encodes views as: u32 crc32 (IEEE, over the rest), u32
 // count, then per view u32 label len, label, u32 data len, data. The CRC
 // is the KR codec's own integrity check, verified before every commit and
-// restore independently of the data backend's blob checksum. The blob is
-// sized exactly up front and every view encodes straight into it: one
-// allocation per checkpoint, no per-view copy.
-func serializeViews(views []kokkos.View) []byte {
+// restore independently of the data backend's blob checksum. The blob
+// overwrites buf, grown once to the exact size when it is too small, and
+// every view encodes straight into it: no allocation once buf fits, no
+// per-view copy.
+func serializeViews(buf []byte, views []kokkos.View) []byte {
 	size := 8
 	for _, v := range views {
 		size += 8 + len(v.Label()) + v.SizeBytes()
 	}
-	out := make([]byte, 4, size)
+	out := slices.Grow(buf[:0], size)[:4]
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(views)))
 	for _, v := range views {
 		label := v.Label()

@@ -107,7 +107,7 @@ func TestViewBlobRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Set(i, int32(-i))
 	}
-	blob := serializeViews([]kokkos.View{a, b})
+	blob := serializeViews(nil, []kokkos.View{a, b})
 
 	a2 := kokkos.NewF64("a", 4)
 	b2 := kokkos.NewI32("b", 3)
@@ -128,7 +128,7 @@ func TestViewBlobRoundTrip(t *testing.T) {
 
 func TestDeserializeUnknownView(t *testing.T) {
 	a := kokkos.NewF64("a", 2)
-	blob := serializeViews([]kokkos.View{a})
+	blob := serializeViews(nil, []kokkos.View{a})
 	other := kokkos.NewF64("other", 2)
 	if err := deserializeViews(blob, []kokkos.View{other}); err == nil {
 		t.Fatal("unknown view accepted")
@@ -137,7 +137,7 @@ func TestDeserializeUnknownView(t *testing.T) {
 
 func TestDeserializeTruncated(t *testing.T) {
 	a := kokkos.NewF64("a", 2)
-	blob := serializeViews([]kokkos.View{a})
+	blob := serializeViews(nil, []kokkos.View{a})
 	for _, n := range []int{0, 3, 5, len(blob) - 1} {
 		if err := deserializeViews(blob[:n], []kokkos.View{a}); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
@@ -282,7 +282,7 @@ func TestSingleModeUsesManualReduction(t *testing.T) {
 			max = 2
 		}
 		for v := 0; v < max; v++ {
-			blob := serializeViews([]kokkos.View{x})
+			blob := serializeViews(nil, []kokkos.View{x})
 			if err := backend.Checkpoint(v, blob, len(blob)); err != nil {
 				return err
 			}
@@ -489,7 +489,7 @@ func TestRestoreAliasesScratchBlob(t *testing.T) {
 		if err := ctx.Checkpoint("loop", 0, views, noop); err != nil {
 			return err
 		}
-		want := serializeViews(views)
+		want := serializeViews(nil, views)
 		fill(-1)
 		if err := ctx.Reset(comm); err != nil {
 			return err
@@ -509,7 +509,7 @@ func TestRestoreAliasesScratchBlob(t *testing.T) {
 		if err := deserializeViews(blob, views); err != nil {
 			return err
 		}
-		if got := serializeViews(views); !bytes.Equal(got, want) {
+		if got := serializeViews(nil, views); !bytes.Equal(got, want) {
 			t.Error("second restore of version 0 did not return version 0's bytes")
 		}
 		stored, _, ok := p.Node().ScratchRead("veloc/alias/v0/rank0")

@@ -300,20 +300,21 @@ func (op ReduceOp) apply(acc, v float64) float64 {
 }
 
 // reduceShared computes the element-wise reduction over the rendezvous'
-// arrived payloads exactly once and returns a fresh copy per caller.
+// arrived payloads exactly once and copies it into each caller's out.
 // Reduction is in comm rank order regardless of arrival order, so
 // results are bitwise reproducible; memoization turns P members' O(P·n)
 // passes into one.
-func (c *Comm) reduceShared(r *rendezvous, op ReduceOp, n int) ([]float64, error) {
+func (c *Comm) reduceShared(r *rendezvous, op ReduceOp, out []float64) error {
+	n := len(out)
 	w := c.world
 	w.mu.Lock()
 	if !r.reducedOK {
 		r.reducedOK = true
-		var out []float64
+		var acc []float64
 		if cap(r.reduced) >= n {
-			out = r.reduced[:n]
+			acc = r.reduced[:n]
 		} else {
-			out = make([]float64, n)
+			acc = make([]float64, n)
 		}
 		first := true
 		for i := range r.slots {
@@ -327,29 +328,29 @@ func (c *Comm) reduceShared(r *rendezvous, op ReduceOp, n int) ([]float64, error
 				break
 			}
 			if first {
-				copy(out, vec)
+				copy(acc, vec)
 				first = false
 				continue
 			}
 			for j, v := range vec {
-				out[j] = op.apply(out[j], v)
+				acc[j] = op.apply(acc[j], v)
 			}
 		}
-		r.reduced = out
+		r.reduced = acc
 	}
 	res, err := r.reduced, r.reduceErr
 	w.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cp := make([]float64, n)
-	copy(cp, res)
-	return cp, nil
+	copy(out, res)
+	return nil
 }
 
 // AllreduceF64 reduces data element-wise across all members with op and
-// returns the result at every member. Reduction order is deterministic
-// (comm rank order), so results are bitwise reproducible.
+// writes the result into data, as MPI_IN_PLACE does; it returns data. On
+// error data is unchanged. Reduction order is deterministic (comm rank
+// order), so results are bitwise reproducible.
 func (c *Comm) AllreduceF64(p *Proc, data []float64, op ReduceOp) ([]float64, error) {
 	cp := c.world.payloadF64(len(data))
 	copy(cp, data)
@@ -358,15 +359,18 @@ func (c *Comm) AllreduceF64(p *Proc, data []float64, op ReduceOp) ([]float64, er
 		return nil, err
 	}
 	defer r.release(c.world)
-	return c.reduceShared(r, op, len(data))
+	if err := c.reduceShared(r, op, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // AllreduceInt reduces a single integer across members (exact for values up
 // to 2^53).
 func (c *Comm) AllreduceInt(p *Proc, v int, op ReduceOp) (int, error) {
-	out, err := c.AllreduceF64(p, []float64{float64(v)}, op)
-	if err != nil {
+	buf := [1]float64{float64(v)}
+	if _, err := c.AllreduceF64(p, buf[:], op); err != nil {
 		return 0, err
 	}
-	return int(out[0]), nil
+	return int(buf[0]), nil
 }

@@ -215,6 +215,9 @@ func TestAllreduceSum(t *testing.T) {
 		if out[0] != 6 || out[1] != 4 {
 			t.Errorf("rank %d allreduce sum = %v", p.Rank(), out)
 		}
+		if &out[0] != &in[0] {
+			t.Errorf("rank %d: result not written in place", p.Rank())
+		}
 		return nil
 	})
 }
@@ -223,12 +226,12 @@ func TestAllreduceMinMax(t *testing.T) {
 	w := testWorld(4)
 	c := w.CommWorld()
 	runWorld(w, func(p *Proc) error {
-		in := []float64{float64(p.Rank())}
-		mn, err := c.AllreduceF64(p, in, OpMin)
+		// Each call reduces in place, so each gets its own input.
+		mn, err := c.AllreduceF64(p, []float64{float64(p.Rank())}, OpMin)
 		if err != nil {
 			return err
 		}
-		mx, err := c.AllreduceF64(p, in, OpMax)
+		mx, err := c.AllreduceF64(p, []float64{float64(p.Rank())}, OpMax)
 		if err != nil {
 			return err
 		}

@@ -61,6 +61,9 @@ type World struct {
 	colls  map[collKey]*rendezvous
 	deadLs []int // world ranks, in failure order
 	hooks  []func(worldRank int)
+	// layer is the per-world state of the process-resilience layer above
+	// (Fenix's runtime), installed once under mu by Layer.
+	layer any
 
 	commWorld *Comm
 }
@@ -72,6 +75,21 @@ func (w *World) RegisterDeathHook(f func(worldRank int)) {
 	w.mu.Lock()
 	w.hooks = append(w.hooks, f)
 	w.mu.Unlock()
+}
+
+// Layer returns the per-world state of the process-resilience layer
+// above, first installing init when none is set and init is non-nil: the
+// first rank to offer a value wins and every later call returns it. The
+// state lives exactly as long as the World, as Fenix's lives from
+// Fenix_Init to Fenix_Finalize on one MPI_COMM_WORLD, so a finished job
+// is collected whole.
+func (w *World) Layer(init any) any {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.layer == nil {
+		w.layer = init
+	}
+	return w.layer
 }
 
 // NewWorld creates a world of `ranks` processes placed round-robin across

@@ -82,15 +82,11 @@ run_stress() {
     # doubled wake-up there is an interleaving that shows up rarely, and
     # differently at each core count. Repeat the tests that would see it
     # (lost wake-ups, K-slot conservation, goroutine/pool equivalence, the
-    # chaos table minus its 1024-rank row) across GOMAXPROCS values. The
-    # table runs as four processes of five because every finished Fenix
-    # job stays reachable (ROADMAP 3b, ~2.7 MB a chaos run).
+    # chaos table minus its 1024-rank row) across GOMAXPROCS values.
     for procs in 1 2 4 8; do
         banner "stress: GOMAXPROCS=$procs, -count=20"
         GOMAXPROCS=$procs go test -count=20 -run 'Equiv|Wake|Conserv' ./internal/mpi/
-        for i in 1 2 3 4; do
-            GOMAXPROCS=$procs go test -count=5 -short -run 'CampaignMatrix' ./internal/chaos/
-        done
+        GOMAXPROCS=$procs go test -count=20 -short -run 'CampaignMatrix' ./internal/chaos/
     done
 }
 
