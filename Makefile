@@ -23,10 +23,12 @@ race:
 	$(GO) test -race ./...
 
 # Single-iteration sweep of the observability-overhead and flush-scheduler
-# benchmarks (virtual-time metrics; host ns/op is incidental), plus the
+# benchmarks (virtual-time metrics; host ns/op is incidental), one pass of
+# the Heatdis Jacobi kernel (host ns per cell), plus the
 # simulator-throughput benchmark (host-time metrics; see PERFORMANCE.md).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHeatdisObs|BenchmarkHeatdisFlushSched' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkHeatdisStep' -benchtime 1x ./internal/apps/heatdis/
 	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput' -benchtime 1s ./internal/mpi/
 
 # Vet and smoke-test the repository benchmark (bench/ is its own module,

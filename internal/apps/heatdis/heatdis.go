@@ -218,28 +218,74 @@ func (st *state) exchangeHalos(s *core.Session) error {
 // arithmetic covers the actual allocation; the compute cost is charged for
 // the simulated cell count.
 func (st *state) step(cfg *Config, s *core.Session) float64 {
-	h, g := st.h, st.g
+	delta := st.relax()
+	s.Proc().Compute(opsPerCell * float64(cfg.SimRows()) * simCols)
+	return delta
+}
+
+// relax writes the Jacobi update of every interior row of h into g, then
+// leaves h equal to g (ghost rows included), as Kokkos deep_copy(h, g)
+// does, and returns the largest change. The columns are clamped at both
+// edges: cell j reads its left and right neighbours at max(j-1, 0) and
+// min(j+1, cols-1).
+func (st *state) relax() float64 {
+	h, g := st.h.Data(), st.g.Data()
 	rows, cols := st.rows, st.cols
 	var delta float64
 	for i := 1; i <= rows; i++ {
-		for j := 0; j < cols; j++ {
-			left, right := j-1, j+1
-			if left < 0 {
-				left = 0
-			}
-			if right >= cols {
-				right = cols - 1
-			}
-			v := 0.25 * (h.At2(i-1, j) + h.At2(i+1, j) + h.At2(i, left) + h.At2(i, right))
-			g.Set2(i, j, v)
-			if d := math.Abs(v - h.At2(i, j)); d > delta {
-				delta = d
-			}
+		up := h[(i-1)*cols : i*cols]
+		mid := h[i*cols : (i+1)*cols]
+		dn := h[(i+1)*cols : (i+2)*cols]
+		out := g[i*cols : (i+1)*cols]
+		delta = relaxRow(out, up, mid, dn, delta)
+		delta = relaxEdge(out, up, mid, dn, 0, delta)
+		if cols > 1 {
+			delta = relaxEdge(out, up, mid, dn, cols-1, delta)
+		}
+		copyBackRow(h, g, i-1, cols)
+	}
+	copy(h[rows*cols:], g[rows*cols:])
+	return delta
+}
+
+// relaxEdge updates the clamped edge cell j of one row.
+func relaxEdge(out, up, mid, dn []float64, j int, delta float64) float64 {
+	left, right := max(j-1, 0), min(j+1, len(mid)-1)
+	v := 0.25 * (up[j] + dn[j] + mid[left] + mid[right])
+	out[j] = v
+	if d := math.Abs(v - mid[j]); d > delta {
+		delta = d
+	}
+	return delta
+}
+
+// relaxRow writes the Jacobi average of the interior cells j in [1,
+// len(mid)-2] of one row into out and returns the larger of delta and
+// their largest change. The caller owns the row's first and last cell.
+func relaxRow(out, up, mid, dn []float64, delta float64) float64 {
+	n := len(mid)
+	if n < 3 {
+		return delta
+	}
+	// One slice per term, each holding cell j at index j-1 and all of
+	// length n-2, so the loop runs without bounds checks.
+	c, left, right := mid[1:n-1], mid[:n-2], mid[2:n]
+	out, up, dn = out[1:n-1], up[1:n-1], dn[1:n-1]
+	for k, x := range c {
+		v := 0.25 * (up[k] + dn[k] + left[k] + right[k])
+		out[k] = v
+		if d := math.Abs(v - x); d > delta {
+			delta = d
 		}
 	}
-	kokkos.DeepCopyF64(h, g)
-	s.Proc().Compute(opsPerCell * float64(cfg.SimRows()) * simCols)
 	return delta
+}
+
+// copyBackRow copies row i of g over row i of h. A Jacobi sweep calls it
+// for row i once it has written row i+1 of g: no later row reads row i of
+// h, and the row is still in cache.
+func copyBackRow(h, g []float64, i, cols int) {
+	copy(h[i*cols:(i+1)*cols], g[i*cols:(i+1)*cols])
 }
 
 // opsPerCell is the cost-model work per stencil cell per iteration. It is
@@ -249,10 +295,11 @@ func (st *state) step(cfg *Config, s *core.Session) float64 {
 const opsPerCell = 30
 
 func (st *state) checksum() float64 {
+	h := st.h.Data()
 	var sum float64
 	for i := 1; i <= st.rows; i++ {
-		for j := 0; j < st.cols; j++ {
-			sum += st.h.At2(i, j) * float64(i*31+j)
+		for j, x := range h[i*st.cols : (i+1)*st.cols] {
+			sum += x * float64(i*31+j)
 		}
 	}
 	return sum

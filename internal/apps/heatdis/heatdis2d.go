@@ -103,10 +103,11 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 	me := s.Rank()
 	w := st.bc + 2
 
-	row := func(i int) []float64 { return st.h.Data()[i*w : (i+1)*w] }
+	h := st.h.Data()
+	row := func(i int) []float64 { return h[i*w : (i+1)*w] }
 	col := func(j int) []float64 {
 		for i := range st.colBuf {
-			st.colBuf[i] = st.h.At2(i, j)
+			st.colBuf[i] = row(i)[j]
 		}
 		return st.colBuf
 	}
@@ -115,7 +116,7 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 			return err
 		}
 		for i, v := range st.colBuf {
-			st.h.Set2(i, j, v)
+			row(i)[j] = v
 		}
 		return nil
 	}
@@ -170,38 +171,39 @@ func (st *state2D) exchange(s *core.Session, cart *mpi.Cart, simEdgeBytes int) e
 // step2D runs one Jacobi update on the block interior and returns the
 // local residual.
 func (st *state2D) step2D(cfg *Config2D, s *core.Session) float64 {
-	var delta float64
-	for i := 1; i <= st.br; i++ {
-		for j := 1; j <= st.bc; j++ {
-			v := 0.25 * (st.h.At2(i-1, j) + st.h.At2(i+1, j) + st.h.At2(i, j-1) + st.h.At2(i, j+1))
-			st.g.Set2(i, j, v)
-			if d := abs(v - st.h.At2(i, j)); d > delta {
-				delta = d
-			}
-		}
-	}
-	kokkos.DeepCopyF64(st.h, st.g)
+	delta := st.relax2D()
 	simCells := float64(cfg.BytesPerRank) / 16
 	s.Proc().Compute(opsPerCell * simCells)
 	return delta
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// relax2D writes the Jacobi update of the block interior of h into g, then
+// leaves h equal to g (ghost frame included), as Kokkos deep_copy(h, g)
+// does, and returns the largest change.
+func (st *state2D) relax2D() float64 {
+	h, g := st.h.Data(), st.g.Data()
+	w := st.bc + 2
+	var delta float64
+	for i := 1; i <= st.br; i++ {
+		delta = relaxRow(g[i*w:(i+1)*w], h[(i-1)*w:i*w], h[i*w:(i+1)*w], h[(i+1)*w:(i+2)*w], delta)
+		copyBackRow(h, g, i-1, w)
 	}
-	return x
+	copy(h[st.br*w:], g[st.br*w:])
+	return delta
 }
 
 // checksum2D digests the interior using GLOBAL cell indices so results
 // are comparable across decompositions.
 func (st *state2D) checksum2D() float64 {
+	h := st.h.Data()
+	w := st.bc + 2
 	var sum float64
 	for i := 1; i <= st.br; i++ {
+		row := h[i*w : (i+1)*w]
 		for j := 1; j <= st.bc; j++ {
 			gi := st.cr*st.br + i
 			gj := st.cc*st.bc + j
-			sum += st.h.At2(i, j) * float64(gi*31+gj)
+			sum += row[j] * float64(gi*31+gj)
 		}
 	}
 	return sum

@@ -35,6 +35,9 @@ type state struct {
 	// ghostUp and ghostDown receive the neighbours' border positions,
 	// reused across steps.
 	ghostUp, ghostDown []float64
+	// bins holds the z-bin atom lists of the last neighbor rebuild,
+	// reused by the next one.
+	bins [][]int32
 }
 
 // newState builds the per-rank lattice for logical rank `rank` of `p`
@@ -110,6 +113,17 @@ func minImage(d, l float64) float64 {
 	return d
 }
 
+// atomPos returns the position of atom j in the neighbor-list numbering:
+// owned atoms in [0, n) read x, ghosts from n on read ghostX (both three
+// components per atom).
+func atomPos(x, ghostX []float64, n, j int) (float64, float64, float64) {
+	if j < n {
+		return x[3*j], x[3*j+1], x[3*j+2]
+	}
+	g := 3 * (j - n)
+	return ghostX[g], ghostX[g+1], ghostX[g+2]
+}
+
 // packBorders collects the atoms within one cutoff of each z face into the
 // send buffer and returns the per-face counts (down-face first).
 func (st *state) packBorders() (downCount, upCount int) {
@@ -152,22 +166,17 @@ func (st *state) ljForce() float64 {
 	sr6c := sr2c * sr2c * sr2c
 	eShift := 4 * (sr6c*sr6c - sr6c)
 
-	pos := func(j int) (float64, float64, float64) {
-		if j < st.n {
-			return sv.x.At2(j, 0), sv.x.At2(j, 1), sv.x.At2(j, 2)
-		}
-		g := j - st.n
-		return sv.ghostX.At2(g, 0), sv.ghostX.At2(g, 1), sv.ghostX.At2(g, 2)
-	}
+	x, ghostX, f := sv.x.Data(), sv.ghostX.Data(), sv.f.Data()
+	neighList, neighNum := sv.neighList.Data(), sv.neighNum.Data()
 
 	var pe float64
 	for i := 0; i < st.n; i++ {
-		xi, yi, zi := sv.x.At2(i, 0), sv.x.At2(i, 1), sv.x.At2(i, 2)
+		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 		var fx, fy, fz, pei float64
-		nn := int(sv.neighNum.At(i))
+		nn := int(neighNum[i])
+		list := neighList[i*maxNeighbors:]
 		for k := 0; k < nn; k++ {
-			j := int(sv.neighList.At(i*maxNeighbors + k))
-			xj, yj, zj := pos(j)
+			xj, yj, zj := atomPos(x, ghostX, st.n, int(list[k]))
 			dx := minImage(xi-xj, st.lx)
 			dy := minImage(yi-yj, st.ly)
 			dz := zi - zj
@@ -186,9 +195,7 @@ func (st *state) ljForce() float64 {
 			fz += fpair * dz
 			pei += 0.5 * (4*(sr6*sr6-sr6) - eShift)
 		}
-		sv.f.Set2(i, 0, fx)
-		sv.f.Set2(i, 1, fy)
-		sv.f.Set2(i, 2, fz)
+		f[3*i], f[3*i+1], f[3*i+2] = fx, fy, fz
 		pe += pei
 	}
 	return pe
@@ -202,35 +209,30 @@ func (st *state) buildNeighbors() {
 	rc2 := rc * rc
 	total := st.n + st.nGhost
 
-	pos := func(j int) (float64, float64, float64) {
-		if j < st.n {
-			return sv.x.At2(j, 0), sv.x.At2(j, 1), sv.x.At2(j, 2)
-		}
-		g := j - st.n
-		return sv.ghostX.At2(g, 0), sv.ghostX.At2(g, 1), sv.ghostX.At2(g, 2)
-	}
+	x, ghostX := sv.x.Data(), sv.ghostX.Data()
+	neighList, neighNum := sv.neighList.Data(), sv.neighNum.Data()
 
 	if st.nGhost == 0 {
 		// Single rank: the box is fully periodic (minimum image in z as
 		// well), which slab bins cannot express; with the small real
 		// lattice an all-pairs scan is cheap and exact.
 		for i := 0; i < st.n; i++ {
-			xi, yi, zi := sv.x.At2(i, 0), sv.x.At2(i, 1), sv.x.At2(i, 2)
+			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 			cnt := 0
 			for j := 0; j < total; j++ {
 				if j == i {
 					continue
 				}
-				xj, yj, zj := pos(j)
+				xj, yj, zj := atomPos(x, ghostX, st.n, j)
 				dx := minImage(xi-xj, st.lx)
 				dy := minImage(yi-yj, st.ly)
 				dz := minImage(zi-zj, st.lzGlob)
 				if dx*dx+dy*dy+dz*dz < rc2 && cnt < maxNeighbors {
-					sv.neighList.Set(i*maxNeighbors+cnt, int32(j))
+					neighList[i*maxNeighbors+cnt] = int32(j)
 					cnt++
 				}
 			}
-			sv.neighNum.Set(i, int32(cnt))
+			neighNum[i] = int32(cnt)
 		}
 		return
 	}
@@ -256,38 +258,36 @@ func (st *state) buildNeighbors() {
 		}
 		return b
 	}
-	for b := 0; b < nbins; b++ {
-		sv.binCount.Set(b, 0)
-	}
+	binCount, binAtoms := sv.binCount.Data(), sv.binAtoms.Data()
+	clear(binCount[:nbins])
 	// Overflow atoms (beyond a bin's capacity) spill to a side list so no
 	// pair is ever lost.
 	var spill []int32
 	for j := 0; j < total; j++ {
-		_, _, z := pos(j)
+		_, _, z := atomPos(x, ghostX, st.n, j)
 		b := binOf(z)
-		cnt := int(sv.binCount.At(b))
+		cnt := int(binCount[b])
 		if cnt < perBin {
-			sv.binAtoms.Set(b*perBin+cnt, int32(j))
-			sv.binCount.Set(b, int32(cnt+1))
+			binAtoms[b*perBin+cnt] = int32(j)
+			binCount[b] = int32(cnt + 1)
 		} else {
 			spill = append(spill, int32(j))
 		}
 	}
-	bins := make([][]int32, nbins)
-	for b := 0; b < nbins; b++ {
-		cnt := int(sv.binCount.At(b))
-		bins[b] = make([]int32, cnt)
-		for k := 0; k < cnt; k++ {
-			bins[b][k] = sv.binAtoms.At(b*perBin + k)
-		}
+	if cap(st.bins) < nbins {
+		st.bins = make([][]int32, nbins)
+	}
+	bins := st.bins[:nbins]
+	for b := range bins {
+		bins[b] = append(bins[b][:0], binAtoms[b*perBin:b*perBin+int(binCount[b])]...)
 	}
 	for _, j := range spill {
-		_, _, z := pos(int(j))
+		_, _, z := atomPos(x, ghostX, st.n, int(j))
 		bins[binOf(z)] = append(bins[binOf(z)], j)
 	}
 
 	for i := 0; i < st.n; i++ {
-		xi, yi, zi := sv.x.At2(i, 0), sv.x.At2(i, 1), sv.x.At2(i, 2)
+		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 		cnt := 0
 		b := binOf(zi)
 		for db := -1; db <= 1; db++ {
@@ -300,7 +300,7 @@ func (st *state) buildNeighbors() {
 				if j == i {
 					continue
 				}
-				xj, yj, zj := pos(j)
+				xj, yj, zj := atomPos(x, ghostX, st.n, j)
 				dx := minImage(xi-xj, st.lx)
 				dy := minImage(yi-yj, st.ly)
 				dz := zi - zj
@@ -308,12 +308,12 @@ func (st *state) buildNeighbors() {
 					dz = minImage(dz, st.lzGlob)
 				}
 				if dx*dx+dy*dy+dz*dz < rc2 && cnt < maxNeighbors {
-					sv.neighList.Set(i*maxNeighbors+cnt, int32(j))
+					neighList[i*maxNeighbors+cnt] = int32(j)
 					cnt++
 				}
 			}
 		}
-		sv.neighNum.Set(i, int32(cnt))
+		neighNum[i] = int32(cnt)
 	}
 }
 

@@ -102,6 +102,10 @@ run_bench() {
     # check that the instrumented paths stay healthy end to end).
     banner "bench: BenchmarkHeatdisObs* + BenchmarkHeatdisFlushSched (1x)"
     go test -run '^$' -bench 'BenchmarkHeatdisObs|BenchmarkHeatdisFlushSched' -benchtime 1x .
+    # The Heatdis Jacobi kernel alone (ns per cell on a 1024x1024 grid),
+    # timed without building the bench/ module.
+    banner "bench: BenchmarkHeatdisStep (1x)"
+    go test -run '^$' -bench 'BenchmarkHeatdisStep' -benchtime 1x ./internal/apps/heatdis/
 }
 
 run_perf() {
