@@ -2,6 +2,7 @@ package minimd
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -35,9 +36,12 @@ type state struct {
 	// ghostUp and ghostDown receive the neighbours' border positions,
 	// reused across steps.
 	ghostUp, ghostDown []float64
-	// bins holds the z-bin atom lists of the last neighbor rebuild,
-	// reused by the next one.
-	bins [][]int32
+	// nbins holds the z-bins of the last neighbor rebuild, reused by the
+	// next one.
+	nbins neighborBins
+	// sortF64 and sortI32 are sortAtoms' permutation scratch.
+	sortF64 []float64
+	sortI32 []int32
 }
 
 // newState builds the per-rank lattice for logical rank `rank` of `p`
@@ -103,11 +107,12 @@ func newState(cfg *Config, rank, p int) *state {
 	return st
 }
 
-// minImage applies the minimum-image convention along a periodic axis.
-func minImage(d, l float64) float64 {
-	if d > l/2 {
+// minImage applies the minimum-image convention along a periodic axis of
+// length l; half is l/2, passed in so that a kernel computes it once.
+func minImage(d, l, half float64) float64 {
+	if d > half {
 		d -= l
-	} else if d < -l/2 {
+	} else if d < -half {
 		d += l
 	}
 	return d
@@ -168,6 +173,7 @@ func (st *state) ljForce() float64 {
 
 	x, ghostX, f := sv.x.Data(), sv.ghostX.Data(), sv.f.Data()
 	neighList, neighNum := sv.neighList.Data(), sv.neighNum.Data()
+	hx, hy, hz := st.lx/2, st.ly/2, st.lzGlob/2
 
 	var pe float64
 	for i := 0; i < st.n; i++ {
@@ -177,11 +183,11 @@ func (st *state) ljForce() float64 {
 		list := neighList[i*maxNeighbors:]
 		for k := 0; k < nn; k++ {
 			xj, yj, zj := atomPos(x, ghostX, st.n, int(list[k]))
-			dx := minImage(xi-xj, st.lx)
-			dy := minImage(yi-yj, st.ly)
+			dx := minImage(xi-xj, st.lx, hx)
+			dy := minImage(yi-yj, st.ly, hy)
 			dz := zi - zj
 			if st.nGhost == 0 {
-				dz = minImage(dz, st.lzGlob)
+				dz = minImage(dz, st.lzGlob, hz)
 			}
 			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
@@ -201,8 +207,24 @@ func (st *state) ljForce() float64 {
 	return pe
 }
 
+// neighborBins is the packed z-binning of the last neighbor rebuild, kept
+// on the state and reused by the next one. Bin b's atoms occupy
+// [start[b], start[b+1]) of idx and of the coordinate arrays bx, by, bz,
+// in index order, so the scan of bins b-1, b, b+1 is one contiguous range
+// with no owned/ghost branch.
+type neighborBins struct {
+	bin        []int32 // z-bin of each atom in the neighbor numbering
+	start      []int32 // bin b's first packed slot; start[nbins] = atom count
+	next       []int32 // fill cursor per bin
+	idx        []int32 // packed atom indices
+	bx, by, bz []float64
+}
+
 // buildNeighbors rebuilds the neighbor lists by binning owned and ghost
 // atoms along z and scanning adjacent bins. Bin side >= cutoff+skin.
+// Candidates are tested on z alone first: dz*dz >= rc2 rules a pair out
+// exactly, since the rounded sum dx*dx+dy*dy+dz*dz is never below its
+// non-negative term dz*dz.
 func (st *state) buildNeighbors() {
 	sv := st.views
 	rc := st.cfg.Cutoff + 0.3
@@ -211,24 +233,29 @@ func (st *state) buildNeighbors() {
 
 	x, ghostX := sv.x.Data(), sv.ghostX.Data()
 	neighList, neighNum := sv.neighList.Data(), sv.neighNum.Data()
+	lx, ly := st.lx, st.ly
+	hx, hy := lx/2, ly/2
 
 	if st.nGhost == 0 {
 		// Single rank: the box is fully periodic (minimum image in z as
 		// well), which slab bins cannot express; with the small real
 		// lattice an all-pairs scan is cheap and exact.
+		lz := st.lzGlob
+		hz := lz / 2
 		for i := 0; i < st.n; i++ {
 			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
+			list := neighList[i*maxNeighbors : (i+1)*maxNeighbors]
 			cnt := 0
+			// Without ghosts every atom is owned: j indexes x directly.
 			for j := 0; j < total; j++ {
-				if j == i {
+				dz := minImage(zi-x[3*j+2], lz, hz)
+				if dz*dz >= rc2 || j == i {
 					continue
 				}
-				xj, yj, zj := atomPos(x, ghostX, st.n, j)
-				dx := minImage(xi-xj, st.lx)
-				dy := minImage(yi-yj, st.ly)
-				dz := minImage(zi-zj, st.lzGlob)
+				dx := minImage(xi-x[3*j], lx, hx)
+				dy := minImage(yi-x[3*j+1], ly, hy)
 				if dx*dx+dy*dy+dz*dz < rc2 && cnt < maxNeighbors {
-					neighList[i*maxNeighbors+cnt] = int32(j)
+					list[cnt] = int32(j)
 					cnt++
 				}
 			}
@@ -239,8 +266,10 @@ func (st *state) buildNeighbors() {
 
 	// Bin along z only (slab geometry): simple, deterministic, and O(N *
 	// atoms-in-nearby-slabs) with the small real lattices in use. The bin
-	// contents live in the binCount/binAtoms views so they are part of the
-	// checkpointed state, like MiniMD's own bin arrays.
+	// contents also go to the binCount/binAtoms views so they are part of
+	// the checkpointed state, like MiniMD's own bin arrays: each bin keeps
+	// its first perBin atoms there, and the atoms beyond that capacity
+	// are scanned from the packed bins all the same, so no pair is lost.
 	zmin := st.zlo - rc
 	binH := rc
 	nbins := int((st.lzLocal+2*rc)/binH) + 2
@@ -248,7 +277,12 @@ func (st *state) buildNeighbors() {
 		nbins = st.views.binCount.Len()
 	}
 	perBin := sv.binAtoms.Len() / sv.binCount.Len()
-	binOf := func(z float64) int {
+	nb := &st.nbins
+	nb.bin = slices.Grow(nb.bin[:0], total)[:total]
+	nb.start = slices.Grow(nb.start[:0], nbins+1)[:nbins+1]
+	clear(nb.start)
+	for j := 0; j < total; j++ {
+		_, _, z := atomPos(x, ghostX, st.n, j)
 		b := int((z - zmin) / binH)
 		if b < 0 {
 			b = 0
@@ -256,61 +290,48 @@ func (st *state) buildNeighbors() {
 		if b >= nbins {
 			b = nbins - 1
 		}
-		return b
+		nb.bin[j] = int32(b)
+		nb.start[b+1]++
+	}
+	for b := 1; b <= nbins; b++ {
+		nb.start[b] += nb.start[b-1]
+	}
+	nb.next = append(nb.next[:0], nb.start[:nbins]...)
+	nb.idx = slices.Grow(nb.idx[:0], total)[:total]
+	nb.bx = slices.Grow(nb.bx[:0], total)[:total]
+	nb.by = slices.Grow(nb.by[:0], total)[:total]
+	nb.bz = slices.Grow(nb.bz[:0], total)[:total]
+	for j := 0; j < total; j++ {
+		b := nb.bin[j]
+		k := nb.next[b]
+		nb.next[b]++
+		nb.idx[k] = int32(j)
+		nb.bx[k], nb.by[k], nb.bz[k] = atomPos(x, ghostX, st.n, j)
 	}
 	binCount, binAtoms := sv.binCount.Data(), sv.binAtoms.Data()
-	clear(binCount[:nbins])
-	// Overflow atoms (beyond a bin's capacity) spill to a side list so no
-	// pair is ever lost.
-	var spill []int32
-	for j := 0; j < total; j++ {
-		_, _, z := atomPos(x, ghostX, st.n, j)
-		b := binOf(z)
-		cnt := int(binCount[b])
-		if cnt < perBin {
-			binAtoms[b*perBin+cnt] = int32(j)
-			binCount[b] = int32(cnt + 1)
-		} else {
-			spill = append(spill, int32(j))
-		}
-	}
-	if cap(st.bins) < nbins {
-		st.bins = make([][]int32, nbins)
-	}
-	bins := st.bins[:nbins]
-	for b := range bins {
-		bins[b] = append(bins[b][:0], binAtoms[b*perBin:b*perBin+int(binCount[b])]...)
-	}
-	for _, j := range spill {
-		_, _, z := atomPos(x, ghostX, st.n, int(j))
-		bins[binOf(z)] = append(bins[binOf(z)], j)
+	for b := 0; b < nbins; b++ {
+		c := min(int(nb.start[b+1]-nb.start[b]), perBin)
+		binCount[b] = int32(c)
+		copy(binAtoms[b*perBin:b*perBin+c], nb.idx[nb.start[b]:])
 	}
 
+	idx, bx, by, bz := nb.idx, nb.bx, nb.by, nb.bz
 	for i := 0; i < st.n; i++ {
 		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
+		list := neighList[i*maxNeighbors : (i+1)*maxNeighbors]
 		cnt := 0
-		b := binOf(zi)
-		for db := -1; db <= 1; db++ {
-			bb := b + db
-			if bb < 0 || bb >= nbins {
+		b := int(nb.bin[i])
+		lo, hi := nb.start[max(b-1, 0)], nb.start[min(b+2, nbins)]
+		for k := lo; k < hi; k++ {
+			dz := zi - bz[k]
+			if dz*dz >= rc2 || int(idx[k]) == i {
 				continue
 			}
-			for _, j32 := range bins[bb] {
-				j := int(j32)
-				if j == i {
-					continue
-				}
-				xj, yj, zj := atomPos(x, ghostX, st.n, j)
-				dx := minImage(xi-xj, st.lx)
-				dy := minImage(yi-yj, st.ly)
-				dz := zi - zj
-				if st.nGhost == 0 {
-					dz = minImage(dz, st.lzGlob)
-				}
-				if dx*dx+dy*dy+dz*dz < rc2 && cnt < maxNeighbors {
-					neighList[i*maxNeighbors+cnt] = int32(j)
-					cnt++
-				}
+			dx := minImage(xi-bx[k], lx, hx)
+			dy := minImage(yi-by[k], ly, hy)
+			if dx*dx+dy*dy+dz*dz < rc2 && cnt < maxNeighbors {
+				list[cnt] = idx[k]
+				cnt++
 			}
 		}
 		neighNum[i] = int32(cnt)
@@ -344,9 +365,12 @@ func (st *state) sortAtoms() {
 		}
 		perm[j+1] = p
 	}
-	// Apply the permutation to every per-atom view.
+	// Apply the permutation to every per-atom view, through scratch kept
+	// on the state.
+	st.sortF64 = slices.Grow(st.sortF64[:0], 3*n)[:3*n]
+	st.sortI32 = slices.Grow(st.sortI32[:0], n)[:n]
 	applyF64 := func(v []float64, comps int) {
-		tmp := make([]float64, n*comps)
+		tmp := st.sortF64[:n*comps]
 		for newI := 0; newI < n; newI++ {
 			old := int(perm[newI])
 			copy(tmp[newI*comps:(newI+1)*comps], v[old*comps:(old+1)*comps])
@@ -354,7 +378,7 @@ func (st *state) sortAtoms() {
 		copy(v, tmp)
 	}
 	applyI32 := func(v []int32) {
-		tmp := make([]int32, n)
+		tmp := st.sortI32
 		for newI := 0; newI < n; newI++ {
 			tmp[newI] = v[int(perm[newI])]
 		}
@@ -379,16 +403,29 @@ func (st *state) kineticEnergy() float64 {
 	return ke
 }
 
-// wrapXY applies periodic wrapping in the rank-local x,y directions.
+// wrapXY applies periodic wrapping in the rank-local x,y directions. A
+// coordinate that drifted less than one box edge out of [0, l) is shifted
+// by one edge, which gives math.Mod's result bit for bit: v-l is exact for
+// v in [l, 2l) (Sterbenz), and Mod returns v itself for v in (-l, 0).
+// Anything else (v <= -l, v >= 2l, NaN, Inf) still goes through Mod.
 func (st *state) wrapXY() {
-	sv := st.views
+	x := st.views.x.Data()
 	for i := 0; i < st.n; i++ {
 		for d, l := range [2]float64{st.lx, st.ly} {
-			v := math.Mod(sv.x.At2(i, d), l)
-			if v < 0 {
+			v := x[3*i+d]
+			switch {
+			case v >= 0 && v < l: // inside the box already
+			case v >= l && v < 2*l:
+				v -= l
+			case v < 0 && v > -l:
 				v += l
+			default:
+				v = math.Mod(v, l)
+				if v < 0 {
+					v += l
+				}
 			}
-			sv.x.Set2(i, d, v)
+			x[3*i+d] = v
 		}
 	}
 }

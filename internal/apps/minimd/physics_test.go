@@ -101,7 +101,7 @@ func TestMinImage(t *testing.T) {
 		{0, 1, 0},
 	}
 	for _, c := range cases {
-		if got := minImage(c.d, c.l); math.Abs(got-c.want) > 1e-12 {
+		if got := minImage(c.d, c.l, c.l/2); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("minImage(%v,%v) = %v, want %v", c.d, c.l, got, c.want)
 		}
 	}

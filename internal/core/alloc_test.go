@@ -106,3 +106,33 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestRegionSnapshotAllocBudget checks that a session keeps each
+// resilient region's snapshot copies from one call to the next: once
+// warm, a replay or vote region over a 1 MiB view allocates no copy of
+// the view (it took one to three per call when every run cloned).
+func TestRegionSnapshotAllocBudget(t *testing.T) {
+	const viewBytes = 1 << 20
+	w := mpi.NewWorld(cluster.New(1, quietMachine()), 1, 1, false, 1, 0)
+	x := kokkos.NewF64("x", viewBytes/8)
+	views := []kokkos.View{x}
+	body := func() { x.Set(0, x.At(0)+1) }
+	for _, pol := range []kokkos.SDCPolicy{kokkos.SDCReplay, kokkos.SDCVote} {
+		t.Run(pol.String(), func(t *testing.T) {
+			s := &Session{p: w.Proc(0), cfg: &Config{SDC: SDCConfig{Policy: pol}}}
+			region := func() {
+				if err := s.Region("step", views, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			region()
+			least := ^uint64(0)
+			for i := 0; i < 3; i++ {
+				least = min(least, allocBytes(region))
+			}
+			if least > viewBytes/64 {
+				t.Errorf("a warm %v region allocated %d bytes, budget %d (1/64 of the view)", pol, least, viewBytes/64)
+			}
+		})
+	}
+}

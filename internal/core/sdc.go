@@ -38,31 +38,7 @@ const sdcScanSecondsPerByte = 1.0 / float64(12<<30)
 // not self-repair and the control-flow layer must roll back.
 func (s *Session) Region(label string, views []kokkos.View, body func()) error {
 	pol := s.cfg.SDC.Policy
-	corrupt := func(vs []kokkos.View) int {
-		frac, bit, ok := s.p.FlipAt("kokkos.region")
-		if !ok {
-			return 0
-		}
-		vlabel, elem := kokkos.FlipBit(vs, frac, bit)
-		if elem < 0 {
-			return 0
-		}
-		s.p.Event(obs.LayerChaos, obs.EvSDCInjected,
-			obs.KV("point", "kokkos.region"), obs.KV("region", label),
-			obs.KV("view", vlabel), obs.KV("elem", elem), obs.KV("bit", bit))
-		s.p.Obs().Registry().Counter(obs.MSDCInjected).Inc()
-		return 1
-	}
-	var validate func([]kokkos.View) bool
-	if pol == kokkos.SDCReplay {
-		min, max := s.cfg.SDC.MinVal, s.cfg.SDC.MaxVal
-		if min == 0 && max == 0 {
-			min, max = math.Inf(-1), math.Inf(1)
-		}
-		validate = kokkos.BoundsValidator(min, max)
-	}
-	reg := kokkos.Region{Policy: pol, Retries: s.cfg.SDC.Retries, Validate: validate, Corrupt: corrupt}
-	rep, err := reg.Run(views, body)
+	rep, err := s.region(label).Run(views, body)
 
 	r := s.p.Obs().Registry()
 	attrs := func() []obs.Attr {
@@ -107,4 +83,41 @@ func (s *Session) Region(label string, views []kokkos.View, body func()) error {
 		return fmt.Errorf("region %s: %w", label, err)
 	}
 	return nil
+}
+
+// region returns the resilient region that label's bodies run under,
+// built on the label's first call and kept on the session, so that every
+// later run reuses the region's snapshot copies.
+func (s *Session) region(label string) *kokkos.Region {
+	if reg := s.regions[label]; reg != nil {
+		return reg
+	}
+	reg := &kokkos.Region{Policy: s.cfg.SDC.Policy, Retries: s.cfg.SDC.Retries}
+	reg.Corrupt = func(vs []kokkos.View) int {
+		frac, bit, ok := s.p.FlipAt("kokkos.region")
+		if !ok {
+			return 0
+		}
+		vlabel, elem := kokkos.FlipBit(vs, frac, bit)
+		if elem < 0 {
+			return 0
+		}
+		s.p.Event(obs.LayerChaos, obs.EvSDCInjected,
+			obs.KV("point", "kokkos.region"), obs.KV("region", label),
+			obs.KV("view", vlabel), obs.KV("elem", elem), obs.KV("bit", bit))
+		s.p.Obs().Registry().Counter(obs.MSDCInjected).Inc()
+		return 1
+	}
+	if reg.Policy == kokkos.SDCReplay {
+		min, max := s.cfg.SDC.MinVal, s.cfg.SDC.MaxVal
+		if min == 0 && max == 0 {
+			min, max = math.Inf(-1), math.Inf(1)
+		}
+		reg.Validate = kokkos.BoundsValidator(min, max)
+	}
+	if s.regions == nil {
+		s.regions = make(map[string]*kokkos.Region)
+	}
+	s.regions[label] = reg
+	return reg
 }

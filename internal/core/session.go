@@ -143,6 +143,9 @@ type Session struct {
 	// shadow so the partial mutations are not applied twice.
 	shadow     [][]byte
 	shadowIter int
+	// regions keeps each resilient region, by label, from one Region
+	// call to the next, and with it the region's snapshot copies.
+	regions map[string]*kokkos.Region
 }
 
 // noteStart records the session (re-)entry in the observability stream:

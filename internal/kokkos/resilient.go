@@ -98,6 +98,8 @@ type RegionReport struct {
 }
 
 // Region executes bodies under an SDC policy. The zero value runs bare.
+// A Region keeps its snapshot copies from one Run to the next, so it must
+// not run concurrently with itself or with a copy of itself.
 type Region struct {
 	// Policy selects the detection strategy.
 	Policy SDCPolicy
@@ -112,41 +114,52 @@ type Region struct {
 	// duplicate executions are never corrupted (the single-event-upset
 	// model: one particle strike per region at most).
 	Corrupt func(views []View) int
+
+	// snap, primary and secondary are the last run's copies of the views:
+	// the pre-execution snapshot and, under vote, the primary and
+	// secondary results. A run refreshes each in place and clones a view
+	// again only when its kind, shape or dryness changed, so a region that
+	// runs over the same views every step allocates no copy after its
+	// first run.
+	snap, primary, secondary []View
 }
 
 // Run executes body over views under the region's policy. views must list
 // every view the body reads or writes (non-aliasing); body must be
 // deterministic and communication-free, so re-executions are local.
-func (r Region) Run(views []View, body func()) (RegionReport, error) {
-	corrupt := func(rep *RegionReport) {
-		if r.Corrupt != nil {
-			rep.Injected += r.Corrupt(views)
-		}
-	}
+func (r *Region) Run(views []View, body func()) (RegionReport, error) {
 	switch r.Policy {
 	case SDCReplay:
-		return r.runReplay(views, body, corrupt)
+		return r.runReplay(views, body)
 	case SDCVote:
-		return r.runVote(views, body, corrupt)
+		return r.runVote(views, body)
 	default:
 		// Bare execution: any injected flip escapes the region.
 		rep := RegionReport{}
 		body()
-		corrupt(&rep)
+		rep.Injected = r.corrupt(views)
 		rep.Escaped = rep.Injected
 		return rep, nil
 	}
 }
 
-func (r Region) runReplay(views []View, body func(), corrupt func(*RegionReport)) (RegionReport, error) {
+// corrupt calls the chaos hook, if any, and returns the flips applied.
+func (r *Region) corrupt(views []View) int {
+	if r.Corrupt == nil {
+		return 0
+	}
+	return r.Corrupt(views)
+}
+
+func (r *Region) runReplay(views []View, body func()) (RegionReport, error) {
 	rep := RegionReport{}
 	retries := r.Retries
 	if retries <= 0 {
 		retries = 2
 	}
-	snap := snapshot(views)
+	snap := snapshot(&r.snap, views)
 	body()
-	corrupt(&rep)
+	rep.Injected = r.corrupt(views)
 	accepted := r.Validate == nil || r.Validate(views)
 	for !accepted && rep.Replays < retries {
 		restore(views, snap)
@@ -168,12 +181,12 @@ func (r Region) runReplay(views []View, body func(), corrupt func(*RegionReport)
 	return rep, nil
 }
 
-func (r Region) runVote(views []View, body func(), corrupt func(*RegionReport)) (RegionReport, error) {
+func (r *Region) runVote(views []View, body func()) (RegionReport, error) {
 	rep := RegionReport{}
-	snap := snapshot(views)
+	snap := snapshot(&r.snap, views)
 	body()
-	corrupt(&rep)
-	primary := snapshot(views)
+	rep.Injected = r.corrupt(views)
+	primary := snapshot(&r.primary, views)
 	restore(views, snap)
 	body()
 	rep.Votes = 1
@@ -185,7 +198,7 @@ func (r Region) runVote(views []View, body func(), corrupt func(*RegionReport)) 
 	// element-wise majority. views currently holds the second execution's
 	// results; keep them aside and produce a third.
 	rep.Detected = rep.Injected
-	secondary := snapshot(views)
+	secondary := snapshot(&r.secondary, views)
 	restore(views, snap)
 	body()
 	rep.Votes++
@@ -197,12 +210,44 @@ func (r Region) runVote(views []View, body func(), corrupt func(*RegionReport)) 
 	return rep, nil
 }
 
-func snapshot(views []View) []View {
-	out := make([]View, len(views))
-	for i, v := range views {
-		out[i] = CloneView(v)
+// snapshot makes *dst a copy of views and returns it: (*dst)[i] is
+// refreshed in place when it already has views[i]'s kind, shape and
+// dryness, and is replaced by a clone otherwise.
+func snapshot(dst *[]View, views []View) []View {
+	s := *dst
+	if len(s) < len(views) {
+		s = append(s, make([]View, len(views)-len(s))...)
 	}
-	return out
+	s = s[:len(views)]
+	for i, v := range views {
+		if !refreshCopy(s[i], v) {
+			s[i] = CloneView(v)
+		}
+	}
+	*dst = s
+	return s
+}
+
+// refreshCopy copies v's contents into c and reports true when c is a
+// view of v's kind, shape and dryness; otherwise it leaves c untouched.
+func refreshCopy(c, v View) bool {
+	switch v := v.(type) {
+	case *F64View:
+		c, ok := c.(*F64View)
+		if !ok || c.dry != v.dry || !shapeEqual(c.shape, v.shape) {
+			return false
+		}
+		copy(c.data, v.data)
+	case *I32View:
+		c, ok := c.(*I32View)
+		if !ok || c.dry != v.dry || !shapeEqual(c.shape, v.shape) {
+			return false
+		}
+		copy(c.data, v.data)
+	default:
+		return false
+	}
+	return true
 }
 
 func restore(views, snap []View) {

@@ -259,3 +259,92 @@ func ParseMust(t *testing.T, s string) SDCPolicy {
 	}
 	return p
 }
+
+// alwaysCorrupt flips one bit in the views on every call.
+func alwaysCorrupt(frac float64, bit int) func([]View) int {
+	return func(views []View) int {
+		if _, e := FlipBit(views, frac, bit); e < 0 {
+			return 0
+		}
+		return 1
+	}
+}
+
+// TestRegionSnapshotAllocs checks that a region running over the same
+// views refreshes its snapshot copies in place: after the first run,
+// neither replay nor vote clones a view, on the clean path or on the
+// detect-and-repair path.
+func TestRegionSnapshotAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		r    Region
+	}{
+		{"replay/clean", Region{Policy: SDCReplay, Validate: BoundsValidator(0, 3)}},
+		{"replay/corrupted", Region{Policy: SDCReplay, Validate: BoundsValidator(0, 3), Corrupt: alwaysCorrupt(0.5, 60)}},
+		{"vote/clean", Region{Policy: SDCVote}},
+		{"vote/corrupted", Region{Policy: SDCVote, Corrupt: alwaysCorrupt(0.5, 51)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			views := append(regionViews(), NewI32("index", 16))
+			body := squareBody(views)
+			r := tc.r
+			run := func() {
+				if _, err := r.Run(views, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if n := testing.AllocsPerRun(20, run); n != 0 {
+				t.Fatalf("steady-state run allocates %v times", n)
+			}
+		})
+	}
+}
+
+// TestRegionReuseMatchesFreshCopies runs the same sequence of regions on
+// one Region and on a fresh Region per run, over capture lists that grow,
+// shrink and change a view's kind and shape between runs, and requires
+// identical reports and view contents.
+func TestRegionReuseMatchesFreshCopies(t *testing.T) {
+	lists := func() [][]View {
+		a, b := NewF64("a", 8), NewF64("b", 2, 4)
+		c, d := NewI32("c", 8), NewF64("d", 4, 2)
+		return [][]View{{a}, {a, b}, {a, c}, {a, d, c}, {d}, {a, b}}
+	}
+	for _, pol := range []SDCPolicy{SDCReplay, SDCVote} {
+		fresh, reused := lists(), lists()
+		mk := func() Region {
+			return Region{Policy: pol, Validate: BoundsValidator(0, 100), Corrupt: alwaysCorrupt(0.3, 62)}
+		}
+		kept := mk()
+		for i := range fresh {
+			step := func(views []View) func() {
+				return func() {
+					for k, v := range views {
+						switch v := v.(type) {
+						case *F64View:
+							for j := range v.Data() {
+								v.Data()[j] = float64(i + j + k)
+							}
+						case *I32View:
+							for j := range v.Data() {
+								v.Data()[j] += int32(j)
+							}
+						}
+					}
+				}
+			}
+			one := mk()
+			want, werr := one.Run(fresh[i], step(fresh[i]))
+			got, gerr := kept.Run(reused[i], step(reused[i]))
+			if got != want || (werr == nil) != (gerr == nil) {
+				t.Fatalf("%v run %d: report %+v, %v; a fresh region gave %+v, %v", pol, i, got, gerr, want, werr)
+			}
+			for k := range fresh[i] {
+				if !ViewsEqual(fresh[i][k], reused[i][k]) {
+					t.Fatalf("%v run %d: view %s differs from the fresh region's", pol, i, fresh[i][k].Label())
+				}
+			}
+		}
+	}
+}

@@ -114,6 +114,11 @@ type Context struct {
 	captured        []kokkos.View // the most recent Checkpoint call's capture list
 	checkpointed    []kokkos.View // its unique serialized views, reused per call
 	buf             []byte        // the serialization buffer, reused per checkpoint
+	// classified is a private copy of the capture list checkpointed was
+	// classified from: a call with an equal list reuses checkpointed, and
+	// a caller's list edited in place no longer equals it. DeclareAliases
+	// empties both, so the next call classifies again.
+	classified []kokkos.View
 }
 
 // perRegionOverhead is the control-flow bookkeeping cost of one checkpoint
@@ -208,6 +213,7 @@ func (c *Context) Comm() *mpi.Comm { return c.comm }
 func (c *Context) DeclareAliases(primary, alias string) {
 	_ = primary // recorded for documentation; exclusion is by alias label
 	c.aliases[alias] = true
+	c.classified, c.checkpointed = c.classified[:0], c.checkpointed[:0]
 }
 
 // Checkpoint wraps one iteration of a checkpoint region: the analogue of
@@ -224,7 +230,10 @@ func (c *Context) DeclareAliases(primary, alias string) {
 func (c *Context) Checkpoint(label string, iter int, views []kokkos.View, body func() error) error {
 	c.p.Inject("kr.region")
 	c.captured = views
-	c.checkpointed = checkpointedViews(c.checkpointed, views, c.aliases)
+	if !slices.Equal(c.classified, views) {
+		c.checkpointed = checkpointedViews(c.checkpointed, views, c.aliases)
+		c.classified = append(c.classified[:0], views...)
+	}
 	ckpt := c.checkpointed
 	c.p.ChargeTime(trace.ResilienceInit, perRegionOverhead+perViewOverhead*float64(len(views)))
 	c.p.Obs().Registry().Counter(obs.MKRRegions).Inc()

@@ -519,3 +519,71 @@ func TestRestoreAliasesScratchBlob(t *testing.T) {
 		return nil
 	})
 }
+
+// labelCountingView counts Label calls, the first thing classify asks of
+// every captured view.
+type labelCountingView struct {
+	*kokkos.F64View
+	calls *int
+}
+
+func (v labelCountingView) Label() string {
+	*v.calls++
+	return v.F64View.Label()
+}
+
+// TestCheckpointReusesClassification checks that Checkpoint classifies a
+// capture list once while it stays unchanged, and classifies it again
+// after an in-place edit of the list or a new alias declaration.
+func TestCheckpointReusesClassification(t *testing.T) {
+	runRanks(t, 1, func(p *mpi.Proc) error {
+		ctx := makeVeloCCtx(t, p, p.World().CommWorld(), veloc.Collective, Config{Interval: 1000, RestoreSurvivors: true})
+		calls := 0
+		wrap := func(v *kokkos.F64View) kokkos.View { return labelCountingView{v, &calls} }
+		x, y, w := kokkos.NewF64("x", 4), kokkos.NewF64("y", 4), kokkos.NewF64("w", 4)
+		views := []kokkos.View{wrap(x), wrap(y), wrap(x.Ref("x@dup"))}
+		step := func(iter int) {
+			t.Helper()
+			if err := ctx.Checkpoint("loop", iter, views, func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		labels := func() []string {
+			var out []string
+			for _, v := range ctx.checkpointed {
+				out = append(out, v.Label())
+			}
+			return out
+		}
+
+		step(0)
+		if calls == 0 {
+			t.Fatal("the first Checkpoint did not classify its capture list")
+		}
+		calls = 0
+		step(1)
+		step(2)
+		if calls != 0 {
+			t.Fatalf("an unchanged capture list was classified again (%d Label calls)", calls)
+		}
+
+		views[1] = wrap(w) // edit the caller's list in place
+		step(3)
+		if got := labels(); fmt.Sprint(got) != "[x w]" {
+			t.Fatalf("after an in-place edit checkpointed = %v, want [x w]", got)
+		}
+		if ck, _, sk := ctx.Census().Counts(); ck != 2 || sk != 1 {
+			t.Fatalf("after an in-place edit census = %d checkpointed, %d skipped", ck, sk)
+		}
+
+		ctx.DeclareAliases("x", "w")
+		step(4)
+		if got := labels(); fmt.Sprint(got) != "[x]" {
+			t.Fatalf("after DeclareAliases checkpointed = %v, want [x]", got)
+		}
+		if _, al, _ := ctx.Census().Counts(); al != 1 {
+			t.Fatalf("after DeclareAliases census has %d aliases, want 1", al)
+		}
+		return nil
+	})
+}

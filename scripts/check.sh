@@ -106,6 +106,10 @@ run_bench() {
     # timed without building the bench/ module.
     banner "bench: BenchmarkHeatdisStep (1x)"
     go test -run '^$' -bench 'BenchmarkHeatdisStep' -benchtime 1x ./internal/apps/heatdis/
+    # The MiniMD neighbor build and force kernels (ns per call on one rank
+    # of a 4-rank geometry).
+    banner "bench: BenchmarkMiniMDNeighbors + BenchmarkMiniMDForce (1x)"
+    go test -run '^$' -bench 'BenchmarkMiniMDNeighbors|BenchmarkMiniMDForce' -benchtime 1x ./internal/apps/minimd/
 }
 
 run_perf() {
