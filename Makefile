@@ -43,9 +43,8 @@ bench-smoke:
 
 # Simulator-throughput regression gate: fails if BenchmarkSimThroughput
 # falls more than 20% below the checked-in baseline (normalized by
-# BenchmarkMachineProbe), if the engine's ns/rank-step at 4096 ranks
-# exceeds 3x its 256-rank value, or if the worker pool stops beating
-# goroutine mode at 4096 ranks.
+# BenchmarkMachineProbe), or if the engine's ns/rank-step at 4096 ranks
+# exceeds 3x its 256-rank value.
 perf:
 	sh scripts/bench_gate.sh
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -67,10 +68,11 @@ var campaignCells = []struct {
 
 const campaignGolden = "testdata/campaign_cells.golden.json"
 
-// TestCampaignMatrix replays every row of campaignCells in both execution
-// modes. Each run must satisfy every invariant, the two modes must write
-// byte-identical event logs, and the report must match the row's entry in
-// the golden file byte for byte — the property that makes a campaign
+// TestCampaignMatrix replays every row of campaignCells at the test's
+// GOMAXPROCS and under GOMAXPROCS(1), two host schedules that interleave
+// the rank goroutines differently. Each run must satisfy every invariant,
+// the two runs must write byte-identical event logs, and the report must
+// match the row's entry in the golden file byte for byte — the property that makes a campaign
 // finding debuggable with `chaos -seed <k>`. A row without an entry fails.
 // Regenerate with `go test ./internal/chaos -run CampaignMatrix -update`.
 func TestCampaignMatrix(t *testing.T) {
@@ -115,7 +117,7 @@ func TestCampaignMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reports := replayPair(t, cfg, [2]string{"goroutine", "pool"}, refs, timeout)
+			reports := replayPair(t, cfg, [2]int{0, 1}, refs, timeout)
 			if *update {
 				golden[name] = reports[0]
 				return
@@ -149,23 +151,27 @@ func TestCampaignMatrix(t *testing.T) {
 	}
 }
 
-// replayPair runs cfg under runs[0] and then runs[1], fails t on any
+// replayPair runs cfg at GOMAXPROCS procs[0] and then procs[1] (0 keeps
+// the test's value, which is restored after each run), fails t on any
 // invariant violation or where the two replays differ, and returns the
-// reports with the exec field cleared (the report echoes its config).
-// Reports are compared byte for byte and event logs less spares'
+// reports. Reports are compared byte for byte and event logs less spares'
 // fenix.init lines. A node crash takes two co-resident ranks whose flush
 // submissions are sampled in wall-clock order (the queue_depth attribute),
 // so only the node cells' reports are compared.
-func replayPair(t *testing.T, cfg RunConfig, runs [2]string, refs *RefCache, timeout time.Duration) (reports [2][]byte) {
+func replayPair(t *testing.T, cfg RunConfig, procs [2]int, refs *RefCache, timeout time.Duration) (reports [2][]byte) {
 	t.Helper()
-	var events [2]bytes.Buffer
-	for k, exec := range runs {
-		cfg.Exec = exec
+	var (
+		events [2]bytes.Buffer
+		runs   [2]string
+	)
+	for k, n := range procs {
+		prev := runtime.GOMAXPROCS(n)
+		runs[k] = fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
 		rep := RunOneStreaming(cfg, refs, timeout, &events[k])
+		runtime.GOMAXPROCS(prev)
 		for _, v := range rep.Violations {
-			t.Errorf("exec=%s: %s", exec, v)
+			t.Errorf("%s: %s", runs[k], v)
 		}
-		rep.Exec = ""
 		var err error
 		if reports[k], err = json.MarshalIndent(rep, "  ", "  "); err != nil {
 			t.Fatal(err)
@@ -183,39 +189,31 @@ func replayPair(t *testing.T, cfg RunConfig, runs [2]string, refs *RefCache, tim
 }
 
 // replaySeeds runs replayPair on each seed's own cell, one subtest a seed.
-func replaySeeds(t *testing.T, runs [2]string, seeds ...uint64) {
+func replaySeeds(t *testing.T, procs [2]int, seeds ...uint64) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg, err := ConfigForSeed(seed, "", "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayPair(t, cfg, runs, NewRefCache(), 0)
+			replayPair(t, cfg, procs, NewRefCache(), 0)
 		})
 	}
 }
 
-// TestSeedReplayIsByteStable replays cells twice in the same exec mode,
-// where TestCampaignMatrix compares the two modes with each other: flush,
+// TestSeedReplayIsByteStable replays cells twice at the test's GOMAXPROCS,
+// where TestCampaignMatrix compares two GOMAXPROCS values: flush,
 // node, storm-shrink, storm-wave, sdc-vote, sdc-mixed, localized and
 // localized-shrink on heatdis; iteration, flush and localized-shrink on
 // minimd.
 func TestSeedReplayIsByteStable(t *testing.T) {
-	replaySeeds(t, [2]string{"goroutine", "goroutine"}, 3, 6, 7, 9, 11, 13, 14, 16, 19, 31)
-}
-
-// TestExecModeEquivalenceMatrix is the exec-mode half of TestCampaignMatrix
-// alone, on four cells that between them take every recovery path (flush
-// scheduler, storm shrink, storm-wave spare exhaustion on both apps): the
-// quick check after a change to the pool executor.
-func TestExecModeEquivalenceMatrix(t *testing.T) {
-	replaySeeds(t, [2]string{"goroutine", "pool"}, 3, 7, 9, 19)
+	replaySeeds(t, [2]int{0, 0}, 3, 6, 7, 9, 11, 13, 14, 16, 19, 31)
 }
 
 // TestMixedFaultReplayByteStable replays the sdc-mixed cells twice under
-// the pool executor: SDC injection must not perturb its determinism.
+// GOMAXPROCS(1): SDC injection must not perturb their determinism.
 func TestMixedFaultReplayByteStable(t *testing.T) {
-	replaySeeds(t, [2]string{"pool", "pool"}, 13, 29)
+	replaySeeds(t, [2]int{1, 1}, 13, 29)
 }
 
 // dropSpareInit removes the fenix.init events of spares from a JSONL log.
@@ -394,20 +392,6 @@ func TestShrinkCampaignCoverage(t *testing.T) {
 	}
 	if rep.SparesActivated != 1 {
 		t.Errorf("spares activated %d, want 1", rep.SparesActivated)
-	}
-}
-
-// TestExecModeUnknownRejected pins that a bad exec value is a reported
-// violation, not a panic or a silent fallback.
-func TestExecModeUnknownRejected(t *testing.T) {
-	cfg, err := ConfigForSeed(3, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Exec = "fibers"
-	rep := RunOne(cfg, NewRefCache(), 0)
-	if len(rep.Violations) == 0 {
-		t.Fatal("unknown exec mode accepted")
 	}
 }
 

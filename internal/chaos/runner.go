@@ -53,11 +53,6 @@ type RunConfig struct {
 	// shrinking disabled: the only correct outcome is a job failure with
 	// fenix.ErrOutOfSpares.
 	ExpectFail bool `json:"expect_fail"`
-	// Exec selects the execution scheduling mode ("", "goroutine", or
-	// "pool"; see mpi.ExecMode). A cell constant like Flush/SDC: it may
-	// change only host scheduling, never the virtual outcome —
-	// TestCampaignMatrix runs every cell in both modes and compares.
-	Exec string `json:"exec,omitempty"`
 	// Localized runs the cell under core.StrategyLocalized (sender-based
 	// message logging, DESIGN.md §12) instead of the default global-rollback
 	// integrated stack: after a kill only the replacement recomputes, served
@@ -186,11 +181,6 @@ func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, event
 
 	inj := NewInjector(cfg.Schedule)
 	rec := obs.New()
-	exec, err := mpi.ParseExecMode(cfg.Exec)
-	if err != nil {
-		rep.addViolation(err.Error())
-		return rep
-	}
 	job := mpi.JobConfig{
 		Ranks:        cfg.Ranks + cfg.Spares + cfg.Rehost,
 		RanksPerNode: cfg.RanksPerNode,
@@ -198,7 +188,6 @@ func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, event
 		Obs:          rec,
 		Inject:       inj,
 		Flush:        cfg.Flush,
-		Exec:         exec,
 	}
 	ccfg := core.Config{
 		Strategy:           core.StrategyFenixKRVeloC,

@@ -63,14 +63,11 @@ func TestScale4096HeatdisReplay(t *testing.T) {
 	}
 }
 
-// TestScale8192HeatdisReplay is the O(10k) acceptance cell for the
-// worker-pool execution mode: 8192 ranks under ExecPool with a mid-run
-// kill, repaired online, byte-identical across two replays. A
-// goroutine-per-rank world this size is what the pool exists to avoid,
-// so the cell runs pool-only; its virtual outcome is pinned to goroutine
-// mode by TestCampaignMatrix's two-mode rows at smaller widths. It is
-// gated behind CHAOS_NIGHTLY=1 (the nightly CI tier and
-// `scripts/check.sh nightly`) so the per-commit tier-1 sweep stays fast.
+// TestScale8192HeatdisReplay is the O(10k) acceptance cell: 8192 ranks,
+// each its own goroutine, with a mid-run kill, repaired online,
+// byte-identical across two replays. It is gated behind CHAOS_NIGHTLY=1
+// (the nightly CI tier and `scripts/check.sh nightly`) so the per-commit
+// tier-1 sweep stays fast.
 func TestScale8192HeatdisReplay(t *testing.T) {
 	if os.Getenv("CHAOS_NIGHTLY") == "" {
 		t.Skip("8192-rank cell runs in the nightly tier (set CHAOS_NIGHTLY=1)")
@@ -84,7 +81,6 @@ func TestScale8192HeatdisReplay(t *testing.T) {
 		Iters: 6, Interval: 2,
 		Flush:    cluster.FlushPolicy{Window: 2, Coalesce: true},
 		Schedule: Schedule{Kills: []Kill{{Rank: 5678, Point: PointIteration, Hit: 3}}},
-		Exec:     "pool",
 	}
 	var out [2]bytes.Buffer
 	for i := 0; i < 2; i++ {
@@ -109,15 +105,14 @@ func TestScale8192HeatdisReplay(t *testing.T) {
 }
 
 // TestScale1024LocalizedStormReplay is the nightly localized-recovery
-// storm cell: 1024 ranks under the worker-pool execution mode, three
-// staggered kills absorbed by one spare plus a two-rank rehost reserve,
-// so the sender-based message log stays live across every repair and
-// each replacement recovers by restore-and-replay while 1023 survivors
-// pause in place. The report — including the replay ledger and the
-// byte-identity invariant against the failure-free reference — must be
-// a pure function of the seed across two replays. Gated behind
-// CHAOS_NIGHTLY=1 like the O(10k) pool cell so the per-commit tier
-// stays fast.
+// storm cell: 1024 ranks, three staggered kills absorbed by one spare
+// plus a two-rank rehost reserve, so the sender-based message log stays
+// live across every repair and each replacement recovers by
+// restore-and-replay while 1023 survivors pause in place. The report —
+// including the replay ledger and the byte-identity invariant against
+// the failure-free reference — must be a pure function of the seed
+// across two replays. Gated behind CHAOS_NIGHTLY=1 like the O(10k) cell
+// so the per-commit tier stays fast.
 func TestScale1024LocalizedStormReplay(t *testing.T) {
 	if os.Getenv("CHAOS_NIGHTLY") == "" {
 		t.Skip("1024-rank localized storm runs in the nightly tier (set CHAOS_NIGHTLY=1)")
@@ -136,7 +131,6 @@ func TestScale1024LocalizedStormReplay(t *testing.T) {
 			{Rank: 500, Point: PointIteration, Hit: 9},
 			{Rank: 900, Point: PointIteration, Hit: 13},
 		}},
-		Exec: "pool",
 	}
 	var out [2]bytes.Buffer
 	for i := 0; i < 2; i++ {

@@ -10,7 +10,7 @@ import (
 // runLocalized runs the miniApp under StrategyLocalized with an obs
 // recorder attached, so the message-log counters and events are visible to
 // the assertions.
-func runLocalized(t *testing.T, spares int, exec mpi.ExecMode, fails ...*FailurePlan) (*Result, *resultSink, *obs.Recorder) {
+func runLocalized(t *testing.T, spares int, fails ...*FailurePlan) (*Result, *resultSink, *obs.Recorder) {
 	t.Helper()
 	sink := newSink()
 	rec := obs.New()
@@ -21,7 +21,7 @@ func runLocalized(t *testing.T, spares int, exec mpi.ExecMode, fails ...*Failure
 		CheckpointName:     "mini",
 		Failures:           fails,
 	}
-	job := mpi.JobConfig{Ranks: tRanks + spares, Machine: quietMachine(), Seed: 7, Obs: rec, Exec: exec}
+	job := mpi.JobConfig{Ranks: tRanks + spares, Machine: quietMachine(), Seed: 7, Obs: rec}
 	res := Run(job, cfg, miniApp(tIters, tVecLen, sink))
 	return res, sink, rec
 }
@@ -33,7 +33,7 @@ func runLocalized(t *testing.T, spares int, exec mpi.ExecMode, fails ...*Failure
 func TestLocalizedRecoveryBitwiseIdentical(t *testing.T) {
 	ref := reference(t)
 	fail := &FailurePlan{Slot: 1, Iteration: 13}
-	res, sink, rec := runLocalized(t, 1, mpi.ExecGoroutine, fail)
+	res, sink, rec := runLocalized(t, 1, fail)
 	if res.Failed || res.Err() != nil {
 		t.Fatalf("run failed: %v", res.Err())
 	}
@@ -74,22 +74,6 @@ func histCount(rec *obs.Recorder, name string) int {
 	return int(rec.Registry().Histogram(name, obs.TimeBuckets).Count())
 }
 
-// TestLocalizedRecoveryPoolExec pins the same contract under the worker
-// pool execution mode: replay paths never block the caller, so pool
-// scheduling must not change the virtual outcome.
-func TestLocalizedRecoveryPoolExec(t *testing.T) {
-	ref := reference(t)
-	fail := &FailurePlan{Slot: 1, Iteration: 13}
-	res, sink, rec := runLocalized(t, 1, mpi.ExecPool, fail)
-	if res.Failed || res.Err() != nil {
-		t.Fatalf("run failed: %v", res.Err())
-	}
-	checkMatchesReference(t, sink, ref)
-	if replayed := rec.Registry().CounterValue(obs.MMsgReplayed); replayed == 0 {
-		t.Fatal("pool-mode recovery consumed no logged messages")
-	}
-}
-
 // TestLocalizedFailureBeforeFirstCheckpoint covers the no-committed-version
 // corner: the victim dies before any checkpoint exists, the log of the
 // aborted epoch is dropped on every rank, and the whole job re-executes
@@ -97,7 +81,7 @@ func TestLocalizedRecoveryPoolExec(t *testing.T) {
 func TestLocalizedFailureBeforeFirstCheckpoint(t *testing.T) {
 	ref := reference(t)
 	fail := &FailurePlan{Slot: 2, Iteration: 2}
-	res, sink, _ := runLocalized(t, 1, mpi.ExecGoroutine, fail)
+	res, sink, _ := runLocalized(t, 1, fail)
 	if res.Failed || res.Err() != nil {
 		t.Fatalf("run failed: %v", res.Err())
 	}
@@ -119,7 +103,7 @@ func TestLocalizedLogGCWatermark(t *testing.T) {
 		{Slot: 2, Iteration: 13},
 		{Slot: 3, Iteration: 18},
 	}
-	res, sink, rec := runLocalized(t, 3, mpi.ExecGoroutine, fails...)
+	res, sink, rec := runLocalized(t, 3, fails...)
 	if res.Failed || res.Err() != nil {
 		t.Fatalf("run failed: %v", res.Err())
 	}

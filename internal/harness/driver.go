@@ -52,7 +52,7 @@ type Driver struct {
 	events, metrics                   *string
 	ranks, interval, spares, failRank *int
 	flushWindow                       *int
-	fail, flushCoalesce               *bool
+	fail                              *bool
 	seed                              *uint64
 	cc                                core.Config
 	job                               mpi.JobConfig
@@ -66,21 +66,20 @@ func NewDriver(fs *flag.FlagSet, spec DriverSpec) *Driver {
 		names = append(names, s.String())
 	}
 	return &Driver{
-		spec:          spec,
-		fs:            fs,
-		strategy:      fs.String("strategy", "fenix-kr-veloc", "resilience strategy: "+strings.Join(names, ", ")),
-		ranks:         fs.Int("ranks", 16, spec.RanksUsage),
-		interval:      fs.Int("interval", 10, "checkpoint interval in "+spec.Unit+"s"),
-		spares:        fs.Int("spares", 2, "spare ranks (Fenix strategies)"),
-		fail:          fs.Bool("fail", false, "inject a failure ~95% between the last two checkpoints"),
-		failRank:      fs.Int("fail-rank", 1, "logical rank to kill"),
-		machine:       fs.String("machine", "xc40", "machine preset: xc40, commodity, exascale"),
-		seed:          fs.Uint64("seed", spec.Seed, "jitter seed"),
-		events:        fs.String("events", "", `write the structured resilience event log as JSONL to this path ("-" for stdout)`),
-		metrics:       fs.String("metrics", "", `write the metrics snapshot in Prometheus text format to this path ("-" for stdout)`),
-		flushWindow:   fs.Int("flush-window", 0, "bound in-flight checkpoint flushes per node to this many (0 = unscheduled: every flush starts immediately)"),
-		flushCoalesce: fs.Bool("flush-coalesce", true, "with -flush-window, cancel queued flushes superseded by a newer version of the same checkpoint"),
-		sdc:           fs.String("sdc", "", "SDC detection policy for resilient regions: none, checksum, replay, vote (also enables checkpoint-blob verification)"),
+		spec:        spec,
+		fs:          fs,
+		strategy:    fs.String("strategy", "fenix-kr-veloc", "resilience strategy: "+strings.Join(names, ", ")),
+		ranks:       fs.Int("ranks", 16, spec.RanksUsage),
+		interval:    fs.Int("interval", 10, "checkpoint interval in "+spec.Unit+"s"),
+		spares:      fs.Int("spares", 2, "spare ranks (Fenix strategies)"),
+		fail:        fs.Bool("fail", false, "inject a failure ~95% between the last two checkpoints"),
+		failRank:    fs.Int("fail-rank", 1, "logical rank to kill"),
+		machine:     fs.String("machine", "xc40", "machine preset: xc40, commodity, exascale"),
+		seed:        fs.Uint64("seed", spec.Seed, "jitter seed"),
+		events:      fs.String("events", "", `write the structured resilience event log as JSONL to this path ("-" for stdout)`),
+		metrics:     fs.String("metrics", "", `write the metrics snapshot in Prometheus text format to this path ("-" for stdout)`),
+		flushWindow: fs.Int("flush-window", 0, "bound in-flight checkpoint flushes per node to this many, cancelling queued flushes superseded by a newer version of the same checkpoint (0 = unscheduled: every flush starts immediately)"),
+		sdc:         fs.String("sdc", "", "SDC detection policy for resilient regions: none, checksum, replay, vote (also enables checkpoint-blob verification)"),
 	}
 }
 
@@ -126,7 +125,7 @@ func (d *Driver) Parse(args []string) {
 	}
 	d.job = mpi.JobConfig{
 		Ranks: d.Ranks + spares, Machine: mk(), Seed: *d.seed,
-		Flush: cluster.FlushPolicy{Window: *d.flushWindow, Coalesce: *d.flushCoalesce},
+		Flush: cluster.FlushPolicy{Window: *d.flushWindow, Coalesce: true},
 	}
 }
 

@@ -78,26 +78,13 @@ func machineProbe(b *testing.B, n int) {
 func BenchmarkSimThroughput(b *testing.B) {
 	for _, ranks := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			benchThroughput(b, ranks, ExecGoroutine)
+			benchThroughput(b, ranks)
 		})
 	}
 }
 
-// BenchmarkSimThroughputPool is the worker-pool execution mode at the
-// widths where goroutine-per-rank scheduler pressure dominates
-// (PERFORMANCE.md records the pool/goroutine ratio; scripts/bench_gate.sh
-// gates it at 4096 ranks).
-func BenchmarkSimThroughputPool(b *testing.B) {
-	for _, ranks := range []int{1024, 4096} {
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			benchThroughput(b, ranks, ExecPool)
-		})
-	}
-}
-
-func benchThroughput(b *testing.B, ranks int, exec ExecMode) {
+func benchThroughput(b *testing.B, ranks int) {
 	w := benchWorld(ranks)
-	w.SetExecMode(exec)
 	c := w.CommWorld()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -106,8 +93,6 @@ func benchThroughput(b *testing.B, ranks int, exec ExecMode) {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
-			p.enter()
-			defer w.pool.release()
 			buf := []float64{1, 2}
 			for i := 0; i < b.N; i++ {
 				if _, err := c.AllreduceF64(p, buf, OpSum); err != nil {

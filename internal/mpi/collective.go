@@ -124,15 +124,16 @@ func (r *rendezvous) finishLocked(w *World, syncTime float64) {
 	}
 }
 
-// wakeWaiters hands every member parked on the completed op to the rank
-// scheduler. Completion deregistered them under world.mu: the op is out
-// of w.colls, so no other rank can reach the list. A death or departure
-// that completed the op wakes them under world.mu; an arrival that did
-// wakes them right after unlocking, so they do not queue on the lock it
-// still holds, and its own reference keeps the op from being recycled
-// while it walks the list.
-func (r *rendezvous) wakeWaiters(w *World) {
-	w.pool.wakeAll(r.waiters)
+// wakeWaiters wakes every member parked on the completed op. Completion
+// deregistered them under world.mu: the op is out of w.colls, so no other
+// rank can reach the list. A death or departure that completed the op
+// wakes them under world.mu; an arrival that did wakes them right after
+// unlocking, so they do not queue on the lock it still holds, and its own
+// reference keeps the op from being recycled while it walks the list.
+func (r *rendezvous) wakeWaiters() {
+	for _, p := range r.waiters {
+		p.Wake()
+	}
 	clear(r.waiters)
 	r.waiters = r.waiters[:0]
 }
@@ -213,7 +214,7 @@ func (c *Comm) collective(p *Proc, data []float64, bytes int) (*rendezvous, erro
 	// can be lost.
 	if r.completed {
 		w.mu.Unlock()
-		r.wakeWaiters(w)
+		r.wakeWaiters()
 	} else {
 		r.waiters = append(r.waiters, p)
 		w.mu.Unlock()

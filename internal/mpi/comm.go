@@ -140,7 +140,7 @@ func (c *Comm) departLocked(wr int, stamp float64) {
 		}
 		w.accountDepartedLocked(rv, c.index[wr], stamp)
 		if rv.completed {
-			rv.wakeWaiters(w)
+			rv.wakeWaiters()
 		}
 	}
 }

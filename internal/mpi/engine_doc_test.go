@@ -9,8 +9,8 @@ import (
 // TestEngineDesignDocumented cross-checks the engine against DESIGN.md §10
 // ("Simulator engine"), the way the obs taxonomy is cross-checked against
 // OBSERVABILITY.md: the section must exist and must document the golden
-// files that specify the engine, the execution modes and their blocking discipline, the
-// throughput gate, and the determinism contract's total event order. This
+// files that specify the engine, the rank scheduler and its blocking
+// discipline, the throughput gate, and the determinism contract's total event order. This
 // keeps the architecture document from silently drifting away from the
 // code it describes.
 func TestEngineDesignDocumented(t *testing.T) {
@@ -29,9 +29,6 @@ func TestEngineDesignDocumented(t *testing.T) {
 		"(time, rank, seq)",
 		"`sync.Pool`",
 		"FailureDetectionLatency",
-		"`ExecPool`",
-		"`ExecGoroutine`",
-		"SetExecMode",
 		"`Proc.Park`",
 		"`Proc.Wake`",
 		"TestScale8192HeatdisReplay",

@@ -35,16 +35,14 @@ type engineTrace struct {
 }
 
 // runScenario executes the collective program on a fresh world of n
-// ranks under the given execution mode; workers <= 0 selects the default
-// pool size. Rank n-1 exits mid-program; the survivors observe the
+// ranks. Rank n-1 exits mid-program; the survivors observe the
 // failure, one of them revokes a survivors' communicator under the
 // others' collective, and all of them finish on a second survivors'
 // communicator — the way Fenix substitutes its repaired communicator.
-func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
+func runScenario(t *testing.T, n int) engineTrace {
 	t.Helper()
 	cl := cluster.New(n, quietMachine())
 	w := NewWorld(cl, n, 1, false, 1, 0)
-	w.SetExecModeWorkers(exec, workers)
 	rec := obs.New()
 	w.SetObs(rec)
 
@@ -140,7 +138,7 @@ func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 		}
 	}
 
-	checkSlotsConserved(t, w, workers)
+	checkWakesConsumed(t, w)
 	clocks := make([]float64, n)
 	for i := 0; i < n; i++ {
 		clocks[i] = w.Proc(i).Now()
@@ -156,7 +154,7 @@ func runScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
 // run against its golden file; -update rewrites the file from the run
 // instead.
 func testEngineEquivalence(t *testing.T, n int) {
-	got := runScenario(t, n, ExecGoroutine, 0).golden(n)
+	got := runScenario(t, n).golden(n)
 	path := filepath.Join("testdata", fmt.Sprintf("engine_scenario_%d.golden", n))
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -245,8 +243,8 @@ func TestEngineEquivalence64(t *testing.T) { testEngineEquivalence(t, 64) }
 // atomic release path must not leak wall-clock scheduling into the
 // virtual outcome.
 func TestEngineEquivalenceReplay(t *testing.T) {
-	a := runScenario(t, 16, ExecGoroutine, 0)
-	b := runScenario(t, 16, ExecGoroutine, 0)
+	a := runScenario(t, 16)
+	b := runScenario(t, 16)
 	if !bytes.Equal(a.events, b.events) {
 		t.Fatal("engine event streams differ across replays of the same scenario")
 	}

@@ -11,23 +11,25 @@ import (
 	"repro/internal/obs"
 )
 
-// Goroutine/pool execution-mode equivalence. ExecGoroutine is the
-// executable specification of the execution model; ExecPool must produce
-// the same per-rank transcripts, the same final virtual clocks, and the
-// same observability event-stream bytes for any program, including
-// mid-program rank failures — the worker pool may only change the
-// wall-clock interleaving of rank segments, never a virtual outcome
-// (DESIGN.md §10). These tests reuse the mixed collective scenario from
-// engine_equiv_test.go and add the pool dimension.
+// Execution-schedule equivalence. Every rank is a goroutine, and the host
+// schedule may only change the wall-clock interleaving of rank segments,
+// never a virtual outcome (DESIGN.md §10): the same per-rank transcripts,
+// the same final virtual clocks and the same observability event-stream
+// bytes for any program, including mid-program rank failures. These tests
+// run each program at the test's GOMAXPROCS and again with one host
+// thread, the schedule that interleaves rank segments most differently.
 
-// checkSlotsConserved asserts that a finished job left the rank scheduler
-// as it found it: no rank is still registered as a mailbox waiter or
-// holds an unconsumed wake-up on its resume channel and, under ExecPool,
-// all K slots are free and the ready queue is empty. A double wake or a
-// missed release shows up here and nowhere else: the virtual outcome of
-// the job it leaked from is unaffected. workers is the job's
-// SetExecModeWorkers count (<= 0: GOMAXPROCS).
-func checkSlotsConserved(t *testing.T, w *World, workers int) {
+// atGOMAXPROCS runs f with GOMAXPROCS set to n and restores the old value.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// checkWakesConsumed asserts that a finished job left no rank registered
+// as a mailbox waiter and no unconsumed wake-up on a resume channel. A
+// double wake or a missed deregistration shows up here and nowhere else:
+// the virtual outcome of the job it leaked from is unaffected.
+func checkWakesConsumed(t *testing.T, w *World) {
 	t.Helper()
 	for _, p := range w.procs {
 		p.mail.mu.Lock()
@@ -37,106 +39,47 @@ func checkSlotsConserved(t *testing.T, w *World, workers int) {
 			t.Errorf("rank %d after the job: registered as waiter %v, unconsumed wake-ups %d", p.rank, registered, len(p.resume))
 		}
 	}
-	ep := w.pool
-	if ep.unbounded {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ep.mu.Lock()
-	free, queued := ep.slots, len(ep.ready)-ep.head
-	ep.mu.Unlock()
-	if free != workers || queued != 0 {
-		t.Errorf("scheduler after the job: %d of %d slots free, %d ranks still ready", free, workers, queued)
-	}
 }
 
-// testExecEquivalence compares ExecGoroutine against ExecPool (at the
-// default slot count and at a deliberately starved one, which maximizes
-// multiplexing and would deadlock on any blocking path that fails to
-// yield its slot).
+// testExecEquivalence runs the mixed collective scenario from
+// engine_equiv_test.go on n ranks at the test's GOMAXPROCS and at
+// GOMAXPROCS(1), and compares the two runs.
 func testExecEquivalence(t *testing.T, n int) {
-	spec := runScenario(t, n, ExecGoroutine, 0)
-	for _, workers := range []int{0, 1, 2} {
-		name := "default"
-		if workers > 0 {
-			name = fmt.Sprintf("%d", workers)
+	spec := runScenario(t, n)
+	var one engineTrace
+	atGOMAXPROCS(1, func() { one = runScenario(t, n) })
+	for r := 0; r < n; r++ {
+		if got, want := one.transcripts[r], spec.transcripts[r]; !equalStrings(got, want) {
+			t.Fatalf("rank %d transcripts differ:\nGOMAXPROCS(1): %v\ndefault:       %v", r, got, want)
 		}
-		pool := runScenario(t, n, ExecPool, workers)
-		for r := 0; r < n; r++ {
-			if got, want := pool.transcripts[r], spec.transcripts[r]; !equalStrings(got, want) {
-				t.Errorf("workers=%s rank %d transcripts differ:\npool:      %v\ngoroutine: %v", name, r, got, want)
-			}
-			if pool.clocks[r] != spec.clocks[r] {
-				t.Errorf("workers=%s rank %d final clock: pool %.12f, goroutine %.12f", name, r, pool.clocks[r], spec.clocks[r])
-			}
+		if one.clocks[r] != spec.clocks[r] {
+			t.Fatalf("rank %d final clock: GOMAXPROCS(1) %.12f, default %.12f", r, one.clocks[r], spec.clocks[r])
 		}
-		if !bytes.Equal(pool.events, spec.events) {
-			t.Errorf("workers=%s event streams differ: pool %d bytes, goroutine %d bytes", name, len(pool.events), len(spec.events))
-		}
+	}
+	if !bytes.Equal(one.events, spec.events) {
+		t.Fatalf("event streams differ: GOMAXPROCS(1) %d bytes, default %d bytes", len(one.events), len(spec.events))
 	}
 }
 
 func TestExecEquivalence8(t *testing.T)  { testExecEquivalence(t, 8) }
 func TestExecEquivalence64(t *testing.T) { testExecEquivalence(t, 64) }
 
-// TestExecEquivalence1024 is the scale cell of the equivalence matrix:
-// a world-sized mixed program with a mid-run failure, pool vs goroutine,
-// compared byte-for-byte. It runs under -race in CI's test job.
+// TestExecEquivalence1024 is the scale cell: a world-sized mixed program
+// with a mid-run failure, compared byte-for-byte across the two
+// schedules. It runs under -race in CI's test job.
 func TestExecEquivalence1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank equivalence skipped in -short")
 	}
-	spec := runScenario(t, 1024, ExecGoroutine, 0)
-	pool := runScenario(t, 1024, ExecPool, 0)
-	for r := 0; r < 1024; r++ {
-		if got, want := pool.transcripts[r], spec.transcripts[r]; !equalStrings(got, want) {
-			t.Fatalf("rank %d transcripts differ:\npool:      %v\ngoroutine: %v", r, got, want)
-		}
-		if pool.clocks[r] != spec.clocks[r] {
-			t.Fatalf("rank %d final clock: pool %.12f, goroutine %.12f", r, pool.clocks[r], spec.clocks[r])
-		}
-	}
-	if !bytes.Equal(pool.events, spec.events) {
-		t.Fatal("event streams differ between pool and goroutine mode at 1024 ranks")
-	}
+	testExecEquivalence(t, 1024)
 }
 
-// TestExecPoolReplay runs the pool twice on the same scenario and
-// requires byte-identical event streams: the slot scheduler's FIFO
-// handoffs and the recycled payload buffers must not leak wall-clock
-// scheduling into the virtual outcome.
-func TestExecPoolReplay(t *testing.T) {
-	a := runScenario(t, 64, ExecPool, 0)
-	b := runScenario(t, 64, ExecPool, 3)
-	if !bytes.Equal(a.events, b.events) {
-		t.Fatal("pool event streams differ across replays (different slot counts) of the same scenario")
-	}
-}
-
-// TestExecPoolEventOrder is the regression test for the global event
-// order under pooled execution: the exported stream must be sorted by
-// (time, rank, seq) — the within-rank Seq monotonicity that makes the
-// sort deterministic holds regardless of how rank segments interleave on
-// the host — and must match goroutine mode byte-for-byte.
-func TestExecPoolEventOrder(t *testing.T) {
-	trace := runScenario(t, 32, ExecPool, 2)
-	lines := bytes.Split(bytes.TrimSpace(trace.events), []byte("\n"))
-	if len(lines) < 32 {
-		t.Fatalf("suspiciously small event stream: %d lines", len(lines))
-	}
-	spec := runScenario(t, 32, ExecGoroutine, 0)
-	if !bytes.Equal(trace.events, spec.events) {
-		t.Fatal("pool-mode event stream diverges from the goroutine-mode (time, rank, seq) order")
-	}
-}
-
-// TestExecPoolRecorderOrder checks the (time, rank, seq) sort invariant
-// directly on the recorder's event slice after a pool-mode run.
-func TestExecPoolRecorderOrder(t *testing.T) {
+// TestRecorderEventOrder checks the (time, rank, seq) sort invariant
+// directly on the recorder's event slice after a run: the within-rank Seq
+// monotonicity that makes the sort deterministic holds however rank
+// segments interleave on the host.
+func TestRecorderEventOrder(t *testing.T) {
 	w := testWorld(16)
-	w.SetExecModeWorkers(ExecPool, 2)
 	rec := obs.New()
 	w.SetObs(rec)
 	runWorld(w, func(p *Proc) error {
@@ -151,7 +94,7 @@ func TestExecPoolRecorderOrder(t *testing.T) {
 		}
 		return nil
 	})
-	checkSlotsConserved(t, w, 2)
+	checkWakesConsumed(t, w)
 	evs := rec.Events()
 	for i := 1; i < len(evs); i++ {
 		a, b := evs[i-1], evs[i]
@@ -164,8 +107,8 @@ func TestExecPoolRecorderOrder(t *testing.T) {
 	}
 }
 
-// TestExecPoolFlushSchedule pins deterministic flush scheduling under
-// pooled execution: co-resident ranks (4 per node — the configuration
+// TestFlushScheduleAcrossGOMAXPROCS pins deterministic flush scheduling
+// across host schedules: co-resident ranks (4 per node — the configuration
 // whose virtual skew would make the schedule wall-order dependent if the
 // scheduler ever keyed on submission order, see cluster/flushsched.go)
 // push coalescing windowed flushes through cluster.FlushSubmit — the
@@ -173,10 +116,10 @@ func TestExecPoolRecorderOrder(t *testing.T) {
 // their own virtual clocks, interleaved with collectives whose
 // congestion probes advance the scheduler. The committed flush windows,
 // coalesce counts, per-node queue depths, final clocks, and the event
-// stream must be identical across execution modes and pool sizes: every
-// scheduling input is a pure function of virtual time, so host-side slot
-// scheduling must not be able to reorder the committed schedule.
-func TestExecPoolFlushSchedule(t *testing.T) {
+// stream must be identical at the test's GOMAXPROCS and at GOMAXPROCS(1):
+// every scheduling input is a pure function of virtual time, so the host
+// schedule must not be able to reorder the committed schedule.
+func TestFlushScheduleAcrossGOMAXPROCS(t *testing.T) {
 	const ranks, perNode, iters = 32, 4, 6
 	type flushTrace struct {
 		transcripts [][]string
@@ -185,11 +128,10 @@ func TestExecPoolFlushSchedule(t *testing.T) {
 		queued      []int
 		events      []byte
 	}
-	run := func(exec ExecMode, workers int) flushTrace {
+	run := func() flushTrace {
 		cl := cluster.New(ranks/perNode, quietMachine())
 		cl.SetFlushPolicy(cluster.FlushPolicy{Window: 2, Coalesce: true})
 		w := NewWorld(cl, ranks, perNode, false, 1, 0)
-		w.SetExecModeWorkers(exec, workers)
 		rec := obs.New()
 		w.SetObs(rec)
 		transcripts := make([][]string, ranks)
@@ -235,10 +177,10 @@ func TestExecPoolFlushSchedule(t *testing.T) {
 		})
 		for r, err := range errs {
 			if err != nil {
-				t.Fatalf("exec=%v workers=%d rank %d: %v", exec, workers, r, err)
+				t.Fatalf("rank %d: %v", r, err)
 			}
 		}
-		checkSlotsConserved(t, w, workers)
+		checkWakesConsumed(t, w)
 		tr := flushTrace{transcripts: transcripts, windows: windows, clocks: make([]float64, ranks)}
 		for i := 0; i < ranks; i++ {
 			tr.clocks[i] = w.Proc(i).Now()
@@ -256,105 +198,46 @@ func TestExecPoolFlushSchedule(t *testing.T) {
 		tr.events = buf.Bytes()
 		return tr
 	}
-	spec := run(ExecGoroutine, 0)
-	for _, workers := range []int{0, 1, 3} {
-		pool := run(ExecPool, workers)
-		for r := 0; r < ranks; r++ {
-			if !equalStrings(pool.transcripts[r], spec.transcripts[r]) {
-				t.Errorf("workers=%d rank %d submissions differ:\npool:      %v\ngoroutine: %v",
-					workers, r, pool.transcripts[r], spec.transcripts[r])
-			}
-			if pool.clocks[r] != spec.clocks[r] {
-				t.Errorf("workers=%d rank %d final clock: pool %.12f, goroutine %.12f",
-					workers, r, pool.clocks[r], spec.clocks[r])
-			}
+	spec := run()
+	var one flushTrace
+	atGOMAXPROCS(1, func() { one = run() })
+	for r := 0; r < ranks; r++ {
+		if !equalStrings(one.transcripts[r], spec.transcripts[r]) {
+			t.Errorf("rank %d submissions differ:\nGOMAXPROCS(1): %v\ndefault:       %v",
+				r, one.transcripts[r], spec.transcripts[r])
 		}
-		if len(pool.windows) != len(spec.windows) {
-			t.Errorf("workers=%d committed flush count: pool %d, goroutine %d",
-				workers, len(pool.windows), len(spec.windows))
+		if one.clocks[r] != spec.clocks[r] {
+			t.Errorf("rank %d final clock: GOMAXPROCS(1) %.12f, default %.12f", r, one.clocks[r], spec.clocks[r])
 		}
-		for id, want := range spec.windows {
-			if got := pool.windows[id]; got != want {
-				t.Errorf("workers=%d flush %s window: pool %s, goroutine %s", workers, id, got, want)
-			}
+	}
+	if len(one.windows) != len(spec.windows) {
+		t.Errorf("committed flush count: GOMAXPROCS(1) %d, default %d", len(one.windows), len(spec.windows))
+	}
+	for id, want := range spec.windows {
+		if got := one.windows[id]; got != want {
+			t.Errorf("flush %s window: GOMAXPROCS(1) %s, default %s", id, got, want)
 		}
-		for nd := range spec.queued {
-			if pool.queued[nd] != spec.queued[nd] {
-				t.Errorf("workers=%d node %d queued flushes: pool %d, goroutine %d",
-					workers, nd, pool.queued[nd], spec.queued[nd])
-			}
+	}
+	for nd := range spec.queued {
+		if one.queued[nd] != spec.queued[nd] {
+			t.Errorf("node %d queued flushes: GOMAXPROCS(1) %d, default %d", nd, one.queued[nd], spec.queued[nd])
 		}
-		if !bytes.Equal(pool.events, spec.events) {
-			t.Errorf("workers=%d flush event streams differ: pool %d bytes, goroutine %d bytes",
-				workers, len(pool.events), len(spec.events))
-		}
+	}
+	if !bytes.Equal(one.events, spec.events) {
+		t.Errorf("flush event streams differ: GOMAXPROCS(1) %d bytes, default %d bytes", len(one.events), len(spec.events))
 	}
 }
 
-// TestExecModeParse pins the flag-value round trip.
-func TestExecModeParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want ExecMode
-		ok   bool
-	}{
-		{"", ExecGoroutine, true},
-		{"goroutine", ExecGoroutine, true},
-		{"pool", ExecPool, true},
-		{"threads", ExecGoroutine, false},
-	} {
-		got, err := ParseExecMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseExecMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if ExecPool.String() != "pool" || ExecGoroutine.String() != "goroutine" {
-		t.Errorf("ExecMode.String() = %q / %q", ExecPool.String(), ExecGoroutine.String())
-	}
-}
-
-// TestExecPoolP2P drives the point-to-point slot-yield path hard: a ring
-// of ranks exchanging messages under a single-slot pool, where any
-// receive that failed to yield its slot would deadlock the world.
-func TestExecPoolP2P(t *testing.T) {
-	const n = 16
-	w := testWorld(n)
-	w.SetExecModeWorkers(ExecPool, 1)
-	errs := runWorld(w, func(p *Proc) error {
-		c := w.CommWorld()
-		me := c.Rank(p)
-		next, prev := (me+1)%n, (me+n-1)%n
-		for i := 0; i < 8; i++ {
-			got, err := c.Sendrecv(p, next, i, []byte{byte(me), byte(i)}, prev, i)
-			if err != nil {
-				return err
-			}
-			if got[0] != byte(prev) || got[1] != byte(i) {
-				return fmt.Errorf("rank %d round %d: got %v", me, i, got)
-			}
-		}
-		return c.Barrier(p)
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	checkSlotsConserved(t, w, 1)
-}
-
-// TestExecPoolSlotsConserved runs point-to-point waits through their
-// failure wake-ups at K = 1 and 2 slots: a ring exchange, then a rank
-// dies while its successor is parked receiving from it (woken by
-// markDead), the survivors revoke (woken by departure) and reduce on a
-// NewComm communicator of the survivors. Every job must leave the
-// scheduler with all K slots free, an empty ready queue and no
-// registered waiter.
-func TestExecPoolSlotsConserved(t *testing.T) {
+// TestWakesConsumedAfterFailures runs point-to-point waits through their
+// failure wake-ups at the test's GOMAXPROCS and at GOMAXPROCS(1): a ring
+// exchange, then a rank dies while its successor is parked receiving from
+// it (woken by markDead), the survivors revoke (woken by departure) and
+// reduce on a NewComm communicator of the survivors. Every job must leave
+// no registered waiter and no unconsumed wake-up.
+func TestWakesConsumedAfterFailures(t *testing.T) {
 	const n = 8
-	for _, workers := range []int{1, 2} {
+	job := func() {
 		w := testWorld(n)
-		w.SetExecModeWorkers(ExecPool, workers)
 		survivors := w.NewComm([]int{0, 1, 2, 4, 5, 6, 7})
 		errs := runWorld(w, func(p *Proc) error {
 			c := w.CommWorld()
@@ -381,9 +264,11 @@ func TestExecPoolSlotsConserved(t *testing.T) {
 		})
 		for r, err := range errs {
 			if err != nil {
-				t.Fatalf("workers=%d rank %d: %v", workers, r, err)
+				t.Fatalf("GOMAXPROCS=%d rank %d: %v", runtime.GOMAXPROCS(0), r, err)
 			}
 		}
-		checkSlotsConserved(t, w, workers)
+		checkWakesConsumed(t, w)
 	}
+	job()
+	atGOMAXPROCS(1, job)
 }

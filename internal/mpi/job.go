@@ -49,11 +49,6 @@ type JobConfig struct {
 	// start-immediately behaviour; a positive Window bounds in-flight
 	// flushes per node, with optional coalescing of superseded versions.
 	Flush cluster.FlushPolicy
-	// Exec selects the execution scheduling mode (see exec.go). The zero
-	// value, ExecGoroutine, gives the rank scheduler unbounded slots (one
-	// free goroutine per rank); ExecPool bounds it to GOMAXPROCS
-	// execution slots for O(10k)-rank worlds.
-	Exec ExecMode
 	// MsgLog enables the sender-based message log (msglog.go) on every
 	// launch's world, the capture side of localized recovery. The process
 	// resilience layer registers its lineage communicators with it.
@@ -143,7 +138,6 @@ func RunJob(cfg JobConfig, f RankFunc) *JobResult {
 		w := NewWorld(cl, cfg.Ranks, cfg.RanksPerNode, cfg.FailRestart, cfg.Seed+uint64(attempt)*1e9, start)
 		w.SetObs(cfg.Obs)
 		w.SetInjector(cfg.Inject)
-		w.SetExecMode(cfg.Exec)
 		if cfg.MsgLog {
 			w.EnableMsgLog()
 		}
@@ -224,12 +218,6 @@ func runRanks(w *World, f RankFunc) []rankOutcome {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
-			// Admission: queue for an execution slot before running the
-			// body; the slot is released when the body returns or unwinds
-			// — after the recover handler below, so failure accounting
-			// (markDead) still runs slot-held.
-			p.enter()
-			defer w.pool.release()
 			defer func() {
 				r := recover()
 				if r == nil {

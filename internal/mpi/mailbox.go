@@ -103,8 +103,7 @@ func (m *mailbox) wakeUnlock(match bool) {
 // and giveUp are checked under m.mu, and the receiver registers as waiter
 // under the same lock before it parks, so a deliver or wakeAll that lands
 // after the checks finds it registered and cannot be lost. p is the
-// receiving process, the mailbox's owner; parking gives up its execution
-// slot, and it re-checks holding one.
+// receiving process, the mailbox's owner; once woken it re-checks.
 func (m *mailbox) receive(p *Proc, key msgKey, giveUp func() error) (message, error) {
 	for {
 		m.mu.Lock()

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,10 +15,10 @@ import (
 // the waker and lingers, so the waker publishes its state after the check
 // and then blocks on the mailbox lock until the receiver has registered
 // and unlocked. The receiver must still observe the wake-up instead of
-// parking forever, in both execution modes; under a one-slot pool the
-// slot must be back in the scheduler afterwards. A deliver for a key the
-// receiver does not await must leave it parked, not re-checking, until its
-// own key arrives.
+// parking forever, and leave no wake-up unconsumed, at the test's
+// GOMAXPROCS and on one host thread. A deliver for a key the receiver does
+// not await must leave it parked, not re-checking, until its own key
+// arrives.
 func TestWakeAllNotLostBeforeWait(t *testing.T) {
 	const tag = 5
 	gotDelivery := func(msg message, err error) bool {
@@ -49,15 +50,14 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 			w.Proc(0).mail.deliver(other, message{data: []byte{7}, seq: -1})
 		}, gotDelivery, true},
 	}
-	for _, exec := range []struct {
-		name    string
-		mode    ExecMode
-		workers int
-	}{{"goroutine", ExecGoroutine, 0}, {"pool1", ExecPool, 1}} {
+	for _, sched := range []struct {
+		name  string
+		procs int // GOMAXPROCS for the run; 0 keeps the test's own
+	}{{"goroutine", 0}, {"gomaxprocs1", 1}} {
 		for _, wk := range wakers {
-			t.Run(exec.name+"/"+wk.name, func(t *testing.T) {
+			t.Run(sched.name+"/"+wk.name, func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sched.procs))
 				w := testWorld(2)
-				w.SetExecModeWorkers(exec.mode, exec.workers)
 				c := w.CommWorld()
 				p := w.Proc(0)
 				key := msgKey{comm: c.id, src: 1, tag: tag}
@@ -78,9 +78,7 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 				}
 				done := make(chan result, 1)
 				go func() {
-					p.enter()
 					msg, err := p.mail.receive(p, key, giveUp)
-					w.pool.release()
 					done <- result{msg, err}
 				}()
 				if wk.foreign {
@@ -106,7 +104,7 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 				case <-time.After(2 * time.Second):
 					t.Fatal("receive missed a wake-up issued between its waiter registration and its park")
 				}
-				checkSlotsConserved(t, w, exec.workers)
+				checkWakesConsumed(t, w)
 			})
 		}
 	}

@@ -22,20 +22,17 @@ import (
 // second from the sender-based message log; a receive from a rank that
 // exits, a send to a peer already observed dead, and a Revoke under
 // blocked receives. No checkpoint flush runs, so the call-time congestion
-// sample is always 1. Both execution modes must reproduce the file byte
-// for byte.
+// sample is always 1.
 
 // p2pPayload is rank me's k-th payload: small and distinct per (me, k).
 func p2pPayload(me, k int) []byte { return []byte{byte(me), byte(k), byte(me ^ k)} }
 
 // runP2PScenario executes the point-to-point program on a fresh world of
-// n ranks (n even, >= 4) under the given execution mode; workers <= 0
-// selects the default pool size.
-func runP2PScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace {
+// n ranks (n even, >= 4).
+func runP2PScenario(t *testing.T, n int) engineTrace {
 	t.Helper()
 	cl := cluster.New(n, quietMachine())
 	w := NewWorld(cl, n, 1, false, 1, 0)
-	w.SetExecModeWorkers(exec, workers)
 	w.EnableMsgLog()
 	rec := obs.New()
 	w.SetObs(rec)
@@ -210,7 +207,7 @@ func runP2PScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace
 		}
 	}
 
-	checkSlotsConserved(t, w, workers)
+	checkWakesConsumed(t, w)
 	clocks := make([]float64, n)
 	for i := 0; i < n; i++ {
 		clocks[i] = w.Proc(i).Now()
@@ -222,15 +219,14 @@ func runP2PScenario(t *testing.T, n int, exec ExecMode, workers int) engineTrace
 	return engineTrace{transcripts: transcripts, clocks: clocks, events: buf.Bytes()}
 }
 
-// testP2PEquivalence runs the scenario on n ranks in goroutine mode and in
-// pool mode (default and starved slot counts) and compares each run
-// against the golden file; -update rewrites the file from the goroutine
-// run instead.
+// testP2PEquivalence runs the scenario on n ranks and compares the run
+// against the golden file; -update rewrites the file from the run
+// instead.
 func testP2PEquivalence(t *testing.T, n int) {
 	path := filepath.Join("testdata", fmt.Sprintf("p2p_scenario_%d.golden", n))
 	header := fmt.Sprintf("# Point-to-point scenario on %d ranks (p2p_equiv_test.go).\n"+
 		"# Regenerate: go test ./internal/mpi -run 'TestP2PEquivalence%d$' -update\n", n, n)
-	got := append([]byte(header), runP2PScenario(t, n, ExecGoroutine, 0).body()...)
+	got := append([]byte(header), runP2PScenario(t, n).body()...)
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -240,11 +236,7 @@ func testP2PEquivalence(t *testing.T, n int) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	compareGolden(t, path+" (goroutine)", got, want)
-	for _, workers := range []int{0, 1} {
-		pool := append([]byte(header), runP2PScenario(t, n, ExecPool, workers).body()...)
-		compareGolden(t, fmt.Sprintf("%s (pool, %d workers)", path, workers), pool, want)
-	}
+	compareGolden(t, path, got, want)
 }
 
 func TestP2PEquivalence8(t *testing.T)  { testP2PEquivalence(t, 8) }

@@ -26,8 +26,7 @@ type Proc struct {
 	exited  bool
 
 	// resume is the rank's park/wake channel (see exec.go): the rank
-	// parks by receiving, the scheduler grants it an execution slot with a
-	// single buffered send.
+	// parks by receiving, a waker wakes it with a single buffered send.
 	resume chan struct{}
 
 	// obsDead tracks which failed world ranks this process has observed

@@ -41,10 +41,6 @@ type World struct {
 	// injector, when non-nil, is consulted at named execution points (see
 	// inject.go). Set once before ranks start; read-only afterwards.
 	injector Injector
-	// pool is the rank scheduler every blocked rank parks on (see
-	// exec.go): unbounded slots under ExecGoroutine, K under ExecPool.
-	// Replaced via SetExecMode before ranks start.
-	pool *execPool
 	// opPool recycles rendezvous state across collectives (tree.go).
 	opPool sync.Pool
 	// bufs recycles collective payload buffers (see exec.go).
@@ -110,7 +106,6 @@ func NewWorld(cl *cluster.Cluster, ranks, ranksPerNode int, abortOnFailure bool,
 		dead:           make([]bool, ranks),
 		deadAt:         make([]float64, ranks),
 		colls:          make(map[collKey]*rendezvous),
-		pool:           newExecPool(ExecGoroutine, 0),
 	}
 	root := sim.NewRNG(seed)
 	w.procs = make([]*Proc, ranks)
@@ -134,19 +129,6 @@ func identityGroup(n int) []int {
 // rank goroutine starts (RunJob does this); a nil recorder disables
 // recording.
 func (w *World) SetObs(r *obs.Recorder) { w.obs = r }
-
-// SetExecMode selects the execution scheduling mode (see exec.go). It
-// must be called before any rank goroutine starts; the zero value
-// (ExecGoroutine) is the default. Under ExecPool the slot count is
-// GOMAXPROCS; tests use SetExecModeWorkers to force maximal
-// multiplexing with a tiny pool.
-func (w *World) SetExecMode(m ExecMode) { w.SetExecModeWorkers(m, 0) }
-
-// SetExecModeWorkers is SetExecMode with an explicit execution-slot
-// count (workers <= 0 selects GOMAXPROCS).
-func (w *World) SetExecModeWorkers(m ExecMode, workers int) {
-	w.pool = newExecPool(m, workers)
-}
 
 // Obs returns the world's observability recorder (possibly nil).
 func (w *World) Obs() *obs.Recorder { return w.obs }
@@ -278,7 +260,7 @@ func (w *World) markDead(r int) {
 		}
 		w.accountDeadLocked(rv, rv.comm.index[r], w.deadAt[r])
 		if rv.completed {
-			rv.wakeWaiters(w)
+			rv.wakeWaiters()
 		}
 	}
 	hooks := make([]func(int), len(w.hooks))

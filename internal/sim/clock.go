@@ -16,9 +16,6 @@ type Clock struct {
 	now float64
 }
 
-// NewClock returns a clock set to time zero.
-func NewClock() *Clock { return &Clock{} }
-
 // NewClockAt returns a clock set to t seconds.
 func NewClockAt(t float64) *Clock { return &Clock{now: t} }
 

@@ -7,14 +7,14 @@ import (
 )
 
 func TestClockStartsAtZero(t *testing.T) {
-	c := NewClock()
+	c := NewClockAt(0)
 	if c.Now() != 0 {
 		t.Fatalf("new clock at %v, want 0", c.Now())
 	}
 }
 
 func TestClockAdvance(t *testing.T) {
-	c := NewClock()
+	c := NewClockAt(0)
 	c.Advance(1.5)
 	c.Advance(0.5)
 	if got := c.Now(); got != 2.0 {
@@ -36,7 +36,7 @@ func TestClockAdvanceNegativePanics(t *testing.T) {
 			t.Fatal("Advance(-1) did not panic")
 		}
 	}()
-	NewClock().Advance(-1)
+	NewClockAt(0).Advance(-1)
 }
 
 func TestClockAdvanceTo(t *testing.T) {

@@ -36,8 +36,12 @@ func Example() {
 		}
 		copy(state, "XXXXXXXXXXXXXXXXXX") // simulate lost progress
 
-		v, err := client.RestartLatest("solver")
+		v, err := client.LatestVersion("solver")
 		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		if err := client.Restart("solver", v); err != nil {
 			fmt.Println(err)
 			return
 		}

@@ -51,8 +51,11 @@ func TestRestartSkipsInterruptedFlush(t *testing.T) {
 		}
 		restored := make([]byte, len(buf))
 		r.Protect(0, SliceRegion{&restored})
-		v, err := r.RestartLatest("ck")
+		v, err := r.LatestVersion("ck")
 		if err != nil {
+			return err
+		}
+		if err := r.Restart("ck", v); err != nil {
 			return err
 		}
 		if v != 1 {
@@ -73,8 +76,10 @@ func TestRestartSkipsInterruptedFlush(t *testing.T) {
 		if !r.Available("ck", 2) {
 			t.Error("re-written version 2 should be available after its flush completed")
 		}
-		v, err = r.RestartLatest("ck")
-		if err != nil {
+		if v, err = r.LatestVersion("ck"); err != nil {
+			return err
+		}
+		if err := r.Restart("ck", v); err != nil {
 			return err
 		}
 		if v != 2 {
@@ -144,8 +149,11 @@ func TestRestartSkipsQueuedAndCancelledFlushes(t *testing.T) {
 		}
 		restored := make([]byte, len(buf))
 		r.Protect(0, SliceRegion{&restored})
-		v, err := r.RestartLatest("ck")
+		v, err := r.LatestVersion("ck")
 		if err != nil {
+			return err
+		}
+		if err := r.Restart("ck", v); err != nil {
 			return err
 		}
 		if v != 0 {

@@ -7,9 +7,9 @@
 // and queue-wait metrics.
 //
 // Scheduling is enabled per job through mpi.JobConfig.Flush (the
-// -flush-window / -flush-coalesce flags on cmd/heatdis and cmd/minimd);
-// with the zero policy Checkpoint keeps the classic unmanaged
-// one-flush-per-checkpoint behaviour.
+// -flush-window flag on cmd/heatdis and cmd/minimd, which always
+// coalesces); with the zero policy Checkpoint keeps the classic
+// unmanaged one-flush-per-checkpoint behaviour.
 package veloc
 
 import (

@@ -148,10 +148,11 @@ func TestRestartStallOnPendingFlushCountsAsFlushWait(t *testing.T) {
 			return err
 		}
 		r.Protect(0, SliceRegion{&restored})
-		if _, err := r.RestartLatest("ck"); err != nil {
+		v, err := r.LatestVersion("ck")
+		if err != nil {
 			return err
 		}
-		return nil
+		return r.Restart("ck", v)
 	})
 	if got := rec.Registry().CounterValue(obs.MFlushWaitSeconds); got <= 0 {
 		t.Errorf("%s = %v, want > 0 (restore stalled on the open flush window)", obs.MFlushWaitSeconds, got)

@@ -547,15 +547,6 @@ func (c *Client) Restart(name string, version int) error {
 	return nil
 }
 
-// RestartLatest restores the newest available version and returns it.
-func (c *Client) RestartLatest(name string) (int, error) {
-	v, err := c.LatestVersion(name)
-	if err != nil {
-		return 0, err
-	}
-	return v, c.Restart(name, v)
-}
-
 // Available reports whether version `version` of `name` is restorable by
 // this rank from scratch or the PFS. A scratch copy failing its CRC is
 // treated as absent, so version selection silently falls back past

@@ -259,6 +259,8 @@ func TestRestartMissingVersion(t *testing.T) {
 	})
 }
 
+// TestRestartLatest restores the newest of three versions, found by
+// LatestVersion.
 func TestRestartLatest(t *testing.T) {
 	runRanks(t, 1, func(p *mpi.Proc) error {
 		c, _ := New(p, Config{Mode: Single})
@@ -271,12 +273,15 @@ func TestRestartLatest(t *testing.T) {
 			}
 		}
 		buf[0] = 0
-		v, err := c.RestartLatest("x")
+		v, err := c.LatestVersion("x")
 		if err != nil {
 			return err
 		}
+		if err := c.Restart("x", v); err != nil {
+			return err
+		}
 		if v != 3 || buf[0] != 30 {
-			t.Errorf("RestartLatest: v=%d buf=%d", v, buf[0])
+			t.Errorf("restart from the latest version: v=%d buf=%d", v, buf[0])
 		}
 		return nil
 	})

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Simulator-throughput regression gate (see PERFORMANCE.md).
 #
-# Runs the BenchmarkSimThroughput family under both execution modes plus
-# BenchmarkMachineProbe, and enforces four bounds:
+# Runs the BenchmarkSimThroughput family plus BenchmarkMachineProbe, and
+# enforces two bounds:
 #
 #   1. tree-engine scaling: ns/rank-step at 4096 ranks <= 3.0x the value
 #      at 256 ranks, both from this run. The engine's per-arrival work is
@@ -16,23 +16,11 @@
 #      code with the simulator, so its throughput is a pure machine-speed
 #      measure; normalizing by it turns the absolute baseline into a
 #      relative regression gate that works on slower CI hosts.
-#   3. pool/goroutine speedup at 4096 ranks — the worker-pool execution
-#      mode must stay a strict win at the width it exists for. The floor
-#      is GOMAXPROCS-aware: on a single core the measured story bounds
-#      the ratio near ~1.2x (the pool saves run-queue churn and
-#      allocations but still pays a park/resume handoff per blocking
-#      point), so the floor is 1.05x with margin. On multicore hosts the
-#      single-core bound does not transfer — the design-target ratio is
-#      >= 3x but unmeasured on the reference machine (PERFORMANCE.md) —
-#      so the gate only asserts no regression (floor 1.0x) rather than
-#      applying the single-core number verbatim.
-#   4. pool events/sec at 4096 ranks >= 80% of its machine-normalized
-#      baseline — same construction as bound 2.
 #
 # Besides the raw `go test -bench` text, the gate emits a machine-readable
 # bench-throughput.json ({"gomaxprocs": N, "cells": [...]}: one record per
 # cell with events/sec, ns/rank-step, allocs/op, best of -count runs; the
-# core count records which pool-gate floor applied) and prints a
+# core count records the parallelism the cells ran with) and prints a
 # baseline-vs-current delta table, so CI artifacts carry the trend without
 # re-parsing bench text.
 #
@@ -49,11 +37,11 @@ json=${2:-bench-throughput.json}
 baseline=scripts/bench_baseline.txt
 
 # The effective parallelism the benchmarks ran with: GOMAXPROCS if the
-# caller pinned it, otherwise the host's online core count. Picks the
-# pool-gate floor and is recorded in the JSON artifact.
+# caller pinned it, otherwise the host's online core count. Recorded in
+# the JSON artifact.
 cores=${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}
 
-go test -run '^$' -bench '(BenchmarkSimThroughput(Pool)?|BenchmarkMachineProbe)$/ranks=(256|1024|4096)' \
+go test -run '^$' -bench '(BenchmarkSimThroughput|BenchmarkMachineProbe)$/ranks=(256|1024|4096)' \
     -benchtime=1s -count=3 ./internal/mpi/ | tee "$out"
 
 awk -v jsonfile="$json" -v cores="$cores" '
@@ -62,16 +50,15 @@ FNR == NR {
     if ($0 !~ /^#/ && NF >= 2) base[$1] = $2
     next
 }
-# Pass 2: benchmark lines. Cell key = exec mode + rank count, or "probe";
+# Pass 2: benchmark lines. Cell key = "tree" + rank count, or "probe";
 # best of the -count runs per cell (max events/sec, min ns/rank-step and
 # allocs/op: scheduler hiccups only subtract).
 /^Benchmark(SimThroughput|MachineProbe)/ {
-    if ($1 ~ /^BenchmarkMachineProbe\//) { cell = "probe"; exe = ""; ranks = 256 }
+    if ($1 ~ /^BenchmarkMachineProbe\//) { cell = "probe"; ranks = 256 }
     else {
-        exe = ($1 ~ /^BenchmarkSimThroughputPool\//) ? "pool" : "goroutine"
         match($1, /ranks=[0-9]+/)
         ranks = substr($1, RSTART + 6, RLENGTH - 6)
-        cell = (exe == "pool" ? "pool" : "tree") ranks
+        cell = "tree" ranks
     }
     ev = ns = al = ""
     for (i = 1; i < NF; i++) {
@@ -80,27 +67,24 @@ FNR == NR {
         if ($(i+1) == "allocs/op")    al = $i
     }
     if (ev == "") next
-    if (!(cell in evs)) { order[++ncells] = cell; exec[cell] = exe; rank[cell] = ranks }
+    if (!(cell in evs)) { order[++ncells] = cell; rank[cell] = ranks }
     if (ev + 0 > evs[cell] + 0) evs[cell] = ev
     if (nss[cell] == "" || ns + 0 < nss[cell] + 0) nss[cell] = ns
     if (als[cell] == "" || al + 0 < als[cell] + 0) als[cell] = al
 }
 END {
     # Machine-readable per-cell records for the CI trend artifact. The
-    # gomaxprocs field records which pool-gate floor applied, so trend
-    # consumers can separate single-core and multicore runs. The probe
-    # cell has no exec mode (null).
+    # gomaxprocs field lets trend consumers separate single-core and
+    # multicore runs.
     printf "{\"gomaxprocs\": %d,\n \"cells\": [", cores > jsonfile
     for (i = 1; i <= ncells; i++) {
         c = order[i]
-        ex = (exec[c] == "" ? "null" : "\"" exec[c] "\"")
-        printf "%s\n  {\"cell\": \"%s\", \"exec\": %s, \"ranks\": %d, \"events_per_sec\": %.0f, \"ns_per_rank_step\": %.1f, \"allocs_per_op\": %d}", \
-            (i > 1 ? "," : ""), c, ex, rank[c], evs[c], nss[c], als[c] >> jsonfile
+        printf "%s\n  {\"cell\": \"%s\", \"ranks\": %d, \"events_per_sec\": %.0f, \"ns_per_rank_step\": %.1f, \"allocs_per_op\": %d}", \
+            (i > 1 ? "," : ""), c, rank[c], evs[c], nss[c], als[c] >> jsonfile
     }
     printf "\n]}\n" >> jsonfile
 
-    if (evs["tree256"] + 0 == 0 || evs["probe"] + 0 == 0 || \
-        evs["tree4096"] + 0 == 0 || evs["pool4096"] + 0 == 0) {
+    if (evs["tree256"] + 0 == 0 || evs["probe"] + 0 == 0 || evs["tree4096"] + 0 == 0) {
         print "bench_gate: could not parse events/sec for all gated cells" > "/dev/stderr"
         exit 2
     }
@@ -130,24 +114,6 @@ END {
     if (evs["tree256"] < 0.8 * base["tree256"] * scale) {
         printf "bench_gate: FAIL tree256 throughput %.0f below 80%% of scaled baseline %.0f\n", \
             evs["tree256"], base["tree256"] * scale
-        fail = 1
-    }
-    # The single-core measured story bounds the ratio near ~1.2x, so on
-    # one core 1.05x is a meaningful floor with margin. On multicore the
-    # modes scale differently (goroutine mode also overlaps ranks), so
-    # the single-core number is not applied verbatim: the gate only
-    # requires the pool not to regress below goroutine mode.
-    pfloor = (cores + 0 <= 1) ? 1.05 : 1.0
-    pratio = evs["pool4096"] / evs["tree4096"]
-    printf "bench_gate: pool/goroutine speedup at 4096 ranks %.2fx (floor %.2fx, GOMAXPROCS=%d)\n", \
-        pratio, pfloor, cores
-    if (pratio < pfloor) {
-        printf "bench_gate: FAIL pool/goroutine speedup %.2fx below the %.2fx floor\n", pratio, pfloor
-        fail = 1
-    }
-    if (evs["pool4096"] < 0.8 * base["pool4096"] * scale) {
-        printf "bench_gate: FAIL pool4096 throughput %.0f below 80%% of scaled baseline %.0f\n", \
-            evs["pool4096"], base["pool4096"] * scale
         fail = 1
     }
     exit fail

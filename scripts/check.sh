@@ -12,10 +12,10 @@
 #             CHAOS_NIGHTLY-gated O(10k) scale cells. Run explicitly
 #             (`scripts/check.sh nightly`) or from the nightly CI job;
 #             never part of the default list.
-#   stress:   the scheduler stress tier — the wake-up, slot-conservation
-#             and exec-equivalence tests and the chaos replay table
-#             repeated at GOMAXPROCS 1, 2, 4 and 8. Run explicitly or from
-#             the nightly CI job; never part of the default list.
+#   stress:   the scheduler stress tier — the wake-up and
+#             execution-schedule equivalence tests and the chaos replay
+#             table repeated at GOMAXPROCS 1, 2, 4 and 8. Run explicitly
+#             or from the nightly CI job; never part of the default list.
 #
 # Environment:
 #   CHAOS_SEEDS  number of campaign seeds to sweep (default 36; CI's
@@ -68,11 +68,11 @@ run_lint() {
 
 run_nightly() {
     # The full-depth tier: scale cells too slow for the per-commit loop.
-    # CHAOS_NIGHTLY=1 un-gates TestScale8192HeatdisReplay — the worker-pool
-    # O(10k) acceptance cell (8192 ranks, mid-run kill, byte-identical
-    # replay pair) — and TestScale1024LocalizedStormReplay, the 1024-rank
+    # CHAOS_NIGHTLY=1 un-gates TestScale8192HeatdisReplay — the O(10k)
+    # acceptance cell (8192 ranks, mid-run kill, byte-identical replay
+    # pair) — and TestScale1024LocalizedStormReplay, the 1024-rank
     # localized-recovery storm (three kills absorbed by the spare + rehost
-    # reserve under ExecPool, replay ledger byte-identical across replays).
+    # reserve, replay ledger byte-identical across replays).
     banner "nightly: O(10k) scale cells (CHAOS_NIGHTLY=1)"
     CHAOS_NIGHTLY=1 go test -run 'TestScale' -count=1 -timeout 55m ./internal/chaos/
 }
@@ -81,11 +81,11 @@ run_stress() {
     # Every blocked rank parks on the one rank scheduler; a lost or
     # doubled wake-up there is an interleaving that shows up rarely, and
     # differently at each core count. Repeat the tests that would see it
-    # (lost wake-ups, K-slot conservation, goroutine/pool equivalence, the
-    # chaos table minus its 1024-rank row) across GOMAXPROCS values.
+    # (lost and unconsumed wake-ups, equivalence across host schedules,
+    # the chaos table minus its 1024-rank row) across GOMAXPROCS values.
     for procs in 1 2 4 8; do
         banner "stress: GOMAXPROCS=$procs, -count=20"
-        GOMAXPROCS=$procs go test -count=20 -run 'Equiv|Wake|Conserv' ./internal/mpi/
+        GOMAXPROCS=$procs go test -count=20 -run 'Equiv|Wake' ./internal/mpi/
         GOMAXPROCS=$procs go test -count=20 -short -run 'CampaignMatrix' ./internal/chaos/
     done
 }
