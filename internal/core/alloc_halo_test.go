@@ -45,6 +45,7 @@ func TestHaloAllocBudget(t *testing.T) {
 	}{
 		{core.StrategyNone, 2.2, 1150},
 		{core.StrategyFenixKRVeloC, 5.2, 3200},
+		{core.StrategyLocalized, 6.4, 3450},
 	} {
 		leastAllocs, leastBytes := ^uint64(0), ^uint64(0)
 		for i := 0; i < 3; i++ {

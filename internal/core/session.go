@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -141,7 +140,7 @@ type Session struct {
 	// live data (e.g. MiniMD's half-kick and drift precede its halo
 	// exchange); the surviving rank re-executes that iteration from the
 	// shadow so the partial mutations are not applied twice.
-	shadow     [][]byte
+	shadow     []kokkos.View
 	shadowIter int
 	// regions keeps each resilient region, by label, from one Region
 	// call to the next, and with it the region's snapshot copies.
@@ -305,27 +304,18 @@ func (s *Session) localizedSkip(slot, iter int) bool {
 // their boundary-entry image first, so the re-execution — whose sends are
 // suppressed and receives log-served via the matching cursor snapshot —
 // does not apply the body's leading mutations twice. First arrivals just
-// record the image.
-func (s *Session) boundaryShadow(iter int, views []kokkos.View) error {
+// record the image, as typed copies refreshed in place: in steady state a
+// boundary costs no allocation.
+func (s *Session) boundaryShadow(iter int, views []kokkos.View) {
 	if !s.localizedActive() {
-		return nil
+		return
 	}
 	if s.role == fenix.RoleSurvivor && s.shadowIter == iter && len(s.shadow) == len(views) {
-		for i, v := range views {
-			if err := v.Deserialize(s.shadow[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		kokkos.Restore(views, s.shadow)
+		return
 	}
-	// Re-encode into the previous images' buffers: in steady state a
-	// boundary costs no allocation.
-	s.shadow = slices.Grow(s.shadow[:0], len(views))[:len(views)]
-	for i, v := range views {
-		s.shadow[i] = v.AppendBytes(s.shadow[i][:0])
-	}
+	kokkos.Snapshot(&s.shadow, views)
 	s.shadowIter = iter
-	return nil
 }
 
 // noteReplayDone records the recovered rank's replay duration once, when
@@ -357,9 +347,7 @@ func (s *Session) Checkpoint(label string, iter int, views []kokkos.View, body f
 	if s.localizedSkip(slot, iter) {
 		return nil
 	}
-	if err := s.boundaryShadow(iter, views); err != nil {
-		return s.Check(err)
-	}
+	s.boundaryShadow(iter, views)
 	if s.prog != nil {
 		re := s.prog.isRecompute(slot, iter)
 		// Under partial rollback survivors never roll their data back, so

@@ -157,12 +157,12 @@ func (r *Region) runReplay(views []View, body func()) (RegionReport, error) {
 	if retries <= 0 {
 		retries = 2
 	}
-	snap := snapshot(&r.snap, views)
+	snap := Snapshot(&r.snap, views)
 	body()
 	rep.Injected = r.corrupt(views)
 	accepted := r.Validate == nil || r.Validate(views)
 	for !accepted && rep.Replays < retries {
-		restore(views, snap)
+		Restore(views, snap)
 		body()
 		rep.Replays++
 		accepted = r.Validate == nil || r.Validate(views)
@@ -183,11 +183,11 @@ func (r *Region) runReplay(views []View, body func()) (RegionReport, error) {
 
 func (r *Region) runVote(views []View, body func()) (RegionReport, error) {
 	rep := RegionReport{}
-	snap := snapshot(&r.snap, views)
+	snap := Snapshot(&r.snap, views)
 	body()
 	rep.Injected = r.corrupt(views)
-	primary := snapshot(&r.primary, views)
-	restore(views, snap)
+	primary := Snapshot(&r.primary, views)
+	Restore(views, snap)
 	body()
 	rep.Votes = 1
 	if equalAll(views, primary) {
@@ -198,8 +198,8 @@ func (r *Region) runVote(views []View, body func()) (RegionReport, error) {
 	// element-wise majority. views currently holds the second execution's
 	// results; keep them aside and produce a third.
 	rep.Detected = rep.Injected
-	secondary := snapshot(&r.secondary, views)
-	restore(views, snap)
+	secondary := Snapshot(&r.secondary, views)
+	Restore(views, snap)
 	body()
 	rep.Votes++
 	if disagree := voteInto(views, primary, secondary); disagree {
@@ -210,10 +210,11 @@ func (r *Region) runVote(views []View, body func()) (RegionReport, error) {
 	return rep, nil
 }
 
-// snapshot makes *dst a copy of views and returns it: (*dst)[i] is
+// Snapshot makes *dst a copy of views and returns it: (*dst)[i] is
 // refreshed in place when it already has views[i]'s kind, shape and
-// dryness, and is replaced by a clone otherwise.
-func snapshot(dst *[]View, views []View) []View {
+// dryness, and is replaced by a clone otherwise. Taking a snapshot of the
+// same views again allocates nothing.
+func Snapshot(dst *[]View, views []View) []View {
 	s := *dst
 	if len(s) < len(views) {
 		s = append(s, make([]View, len(views)-len(s))...)
@@ -250,7 +251,8 @@ func refreshCopy(c, v View) bool {
 	return true
 }
 
-func restore(views, snap []View) {
+// Restore copies a Snapshot of views back into them.
+func Restore(views, snap []View) {
 	for i := range views {
 		CopyInto(views[i], snap[i])
 	}

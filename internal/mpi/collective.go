@@ -121,6 +121,9 @@ func (r *rendezvous) finishLocked(w *World, syncTime float64) {
 		w.obs.Emit(syncTime, -1, obs.LayerMPI, obs.EvMsgLogged,
 			obs.KV("kind", "coll"), obs.KV("comm", r.comm.id), obs.KV("bytes", bytes))
 		w.obs.Registry().Counter(obs.MMsgLogged).Inc()
+		if water, trimmed, reached, ok := w.msglog.release(r.comm.id); ok {
+			w.noteTrim(water, trimmed, reached)
+		}
 	}
 }
 
@@ -236,20 +239,26 @@ func (c *Comm) collective(p *Proc, data []float64, bytes int) (*rendezvous, erro
 }
 
 // cloneSlotsForLog deep-copies a completed rendezvous' slots for the
-// message log (the originals and their payload buffers are pooled).
-// Returns the copies and the total payload bytes held.
+// message log (the originals and their payload buffers are pooled), all
+// payloads into one backing array. Returns the copies and the total
+// payload bytes held.
 func cloneSlotsForLog(slots []slot) ([]slot, int) {
+	n := 0
+	for i := range slots {
+		n += len(slots[i].data)
+	}
 	out := make([]slot, len(slots))
-	bytes := 0
+	buf := make([]float64, 0, n)
 	for i := range slots {
 		s := slots[i]
 		if len(s.data) > 0 {
-			s.data = append([]float64(nil), s.data...)
-			bytes += 8 * len(s.data)
+			at := len(buf)
+			buf = append(buf, s.data...)
+			s.data = buf[at:len(buf):len(buf)]
 		}
 		out[i] = s
 	}
-	return out, bytes
+	return out, 8 * n
 }
 
 // Barrier blocks until all live members arrive. It fails with FailedError

@@ -19,6 +19,10 @@ type Comm struct {
 	group   []int // comm rank -> world rank
 	index   map[int]int
 	revoked atomic.Bool
+	// logged marks a communicator of the resilient lineage
+	// (World.RegisterLineageComm): while the message log is active, its
+	// traffic is logged and replayed.
+	logged atomic.Bool
 	// departed maps world rank -> the virtual time at which that member
 	// abandoned the communicator (its last MPI error, or its own Revoke).
 	// Guarded by world.mu. Operations blocked on a departed member are
@@ -210,18 +214,32 @@ func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int,
 	}
 
 	l := p.msglogOn(c)
-	lkey := p2pKey{src: me, dst: dst, tag: tag}
-	seq := -1
-	if l != nil {
-		seq = p.logSend[lkey]
-		if seq < l.p2pLen(lkey) {
-			// Replay: this message was delivered and logged by a previous
-			// incarnation of this program point; suppress the duplicate.
-			p.bumpSend(lkey, seq)
-			p.noteReplay("send", dst, tag)
-			return arrive, nil
-		}
+	if l == nil {
+		c.deliver(p, dstW, tag, data, arrive, -1)
+		return arrive, nil
 	}
+	cur := p.cursorOf(&p.cursors().send, l, p2pKey{src: me, dst: dst, tag: tag})
+	seq := cur.n
+	cur.n++
+	if l.send(cur.s, seq, p2pEntry{data: data, simBytes: simBytes, arriveAt: arrive}, func() {
+		c.deliver(p, dstW, tag, data, arrive, seq)
+	}) {
+		// Replay: this message was delivered and logged by a previous
+		// incarnation of this program point; suppress the duplicate.
+		p.noteReplay("send", dst, tag)
+		return arrive, nil
+	}
+	if p.world.obs.Enabled() {
+		p.Event(obs.LayerMPI, obs.EvMsgLogged, obs.KV("peer", dst), obs.KV("tag", tag), obs.KV("bytes", simBytes))
+		p.world.obs.Registry().Counter(obs.MMsgLogged).Inc()
+		p.world.msglogGauges()
+	}
+	return arrive, nil
+}
+
+// deliver enqueues one message from p at world rank dstW's mailbox. seq
+// is its sequence number in the message log's stream, or -1 when unlogged.
+func (c *Comm) deliver(p *Proc, dstW, tag int, data []byte, arrive float64, seq int) {
 	if sawPayload != nil {
 		sawPayload(data)
 	}
@@ -229,31 +247,11 @@ func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int,
 		msgKey{comm: c.id, src: p.rank, tag: tag},
 		message{data: data, arriveAt: arrive, seq: seq},
 	)
-	if l != nil {
-		// Deliver before append: a receiver that sees the log entry is
-		// guaranteed the mailbox entry exists too.
-		l.AppendP2P(lkey, data, simBytes, arrive)
-		p.bumpSend(lkey, seq)
-		if p.world.obs.Enabled() {
-			p.Event(obs.LayerMPI, obs.EvMsgLogged, obs.KV("peer", dst), obs.KV("tag", tag), obs.KV("bytes", simBytes))
-			p.world.obs.Registry().Counter(obs.MMsgLogged).Inc()
-			p.msglogGauges(l)
-		}
-	}
-	return arrive, nil
 }
 
 // sawPayload, when a test sets it, sees every payload post delivers and
 // every payload complete serves, from the mailbox or the message log.
 var sawPayload func(data []byte)
-
-// bumpSend advances the send cursor for lkey past seq.
-func (p *Proc) bumpSend(lkey p2pKey, seq int) {
-	if p.logSend == nil {
-		p.logSend = make(map[p2pKey]int)
-	}
-	p.logSend[lkey] = seq + 1
-}
 
 // noteReplay emits the replay event + counter for one suppressed/served
 // operation.
@@ -285,12 +283,13 @@ func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte
 	key := msgKey{comm: c.id, src: srcW, tag: lkey.tag}
 	start := p.clock.Now()
 	var msg message
+	var cur *cursor
 	fromLog := false
 	if l != nil {
-		seq := p.logRecv[lkey]
-		if e, ok := l.p2pAt(lkey, seq); ok {
-			p.mail.dropThrough(key, seq)
-			msg, fromLog = message{data: e.data, arriveAt: e.arriveAt, seq: seq}, true
+		cur = p.cursorOf(&p.cursors().recv, l, lkey)
+		if e, ok := cur.s.at(cur.n); ok {
+			p.mail.dropThrough(key, cur.n)
+			msg, fromLog = message{data: e.data, arriveAt: e.arriveAt, seq: cur.n}, true
 		}
 	}
 	if !fromLog {
@@ -316,8 +315,8 @@ func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte
 	}
 	p.clock.Advance(overhead)
 	p.rec.Add(trace.AppMPI, p.clock.Now()-start)
-	if l != nil {
-		p.bumpRecv(l, lkey, msg.seq, fromLog)
+	if cur != nil {
+		p.bumpRecv(cur, msg.seq, fromLog)
 	}
 	if sawPayload != nil {
 		sawPayload(msg.data)
@@ -325,20 +324,17 @@ func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte
 	return msg.data, nil
 }
 
-// bumpRecv advances the receive cursor for lkey after consuming the
-// message carrying absolute sequence seq (-1 when the send was unlogged,
-// in which case the cursor simply increments). A consumption served from
-// the log below the stream's high-water mark is a replay, and is noted.
-func (p *Proc) bumpRecv(l *MsgLog, lkey p2pKey, seq int, fromLog bool) {
-	if p.logRecv == nil {
-		p.logRecv = make(map[p2pKey]int)
-	}
+// bumpRecv advances receive cursor cur after consuming the message
+// carrying absolute sequence seq (-1 when the send was unlogged, in which
+// case the cursor simply increments). A consumption served from the log
+// below the stream's high-water mark is a replay, and is noted.
+func (p *Proc) bumpRecv(cur *cursor, seq int, fromLog bool) {
 	if seq < 0 {
-		seq = p.logRecv[lkey]
-	} else if replay := l.noteConsumed(lkey, seq); replay && fromLog {
-		p.noteReplay("recv", lkey.src, lkey.tag)
+		seq = cur.n
+	} else if replay := cur.s.noteConsumed(seq); replay && fromLog {
+		p.noteReplay("recv", cur.key.src, cur.key.tag)
 	}
-	p.logRecv[lkey] = seq + 1
+	cur.n = seq + 1
 }
 
 // Sendrecv performs a combined send to dst and receive from src, the idiom

@@ -42,10 +42,25 @@ type Proc struct {
 	// the lineage length returns the logged result. logExempt marks
 	// sections (e.g. the recovery-time version agreement) whose traffic is
 	// outside the replayed program order and must stay live and unlogged.
-	logSend   map[p2pKey]int
-	logRecv   map[p2pKey]int
+	// logP2P is allocated at the rank's first logged send or receive.
+	logP2P    *p2pCursors
 	logColl   int
 	logExempt int
+}
+
+// p2pCursors holds a rank's send and receive cursors, one per logged
+// stream it touches.
+type p2pCursors struct {
+	send, recv []cursor
+}
+
+// cursors returns this process's p2p log cursors, allocating them on
+// first use.
+func (p *Proc) cursors() *p2pCursors {
+	if p.logP2P == nil {
+		p.logP2P = &p2pCursors{}
+	}
+	return p.logP2P
 }
 
 func newProc(w *World, rank int, node *cluster.Node, rng *sim.RNG, startTime float64) *Proc {
@@ -228,13 +243,28 @@ func (p *Proc) noteFailures(err error) {
 
 // msglogOn returns the world's message log when it should mediate traffic
 // on c for this process: the log is live, c is part of the registered
-// resilient lineage, and the process is not inside an exempt section.
+// resilient lineage, and the process is not inside an exempt section. It
+// takes no lock.
 func (p *Proc) msglogOn(c *Comm) *MsgLog {
 	l := p.world.msglog
-	if l == nil || p.logExempt > 0 || !l.registered(c.id) {
+	if l == nil || p.logExempt > 0 || !c.logged.Load() || !l.Active() {
 		return nil
 	}
 	return l
+}
+
+// cursorOf returns this process's cursor for stream key in *cs (its send
+// or its receive cursors), adding one at 0 on first use. A rank touches a
+// handful of streams, so a scan beats a map. The pointer is valid until
+// the next call.
+func (p *Proc) cursorOf(cs *[]cursor, l *MsgLog, key p2pKey) *cursor {
+	for i := range *cs {
+		if (*cs)[i].key == key {
+			return &(*cs)[i]
+		}
+	}
+	*cs = append(*cs, cursor{key: key, s: l.stream(key)})
+	return &(*cs)[len(*cs)-1]
 }
 
 // LogExemptBegin marks the start of a message-log-exempt section: traffic
@@ -256,33 +286,25 @@ func (p *Proc) LogExemptEnd() {
 // possible while it is.
 func (p *Proc) MsgLogActive() bool { return p.world.msglog.Active() }
 
-// msglogCursors builds a snapshot of this process's current log cursors.
-func (p *Proc) msglogCursors() *CursorSnap {
-	s := &CursorSnap{Send: make(map[p2pKey]int, len(p.logSend)), Recv: make(map[p2pKey]int, len(p.logRecv)), Coll: p.logColl}
-	for k, v := range p.logSend {
-		s.Send[k] = v
-	}
-	for k, v := range p.logRecv {
-		s.Recv[k] = v
-	}
-	return s
+// msglogCursors builds a snapshot of this process's current log cursors,
+// in one allocation that the log will own.
+func (p *Proc) msglogCursors() cursorSnap {
+	c := p.cursors()
+	cur := make([]cursor, 0, len(c.send)+len(c.recv))
+	cur = append(append(cur, c.send...), c.recv...)
+	return cursorSnap{cur: cur, nSend: len(c.send), coll: p.logColl}
 }
 
-// installCursors replaces this process's log cursors with s (p2p only when
-// p2pToo; the collective cursor is always installed).
-func (p *Proc) installCursors(s *CursorSnap, p2pToo bool) {
-	p.logColl = s.Coll
+// installCursors copies s into this process's log cursors (p2p only when
+// p2pToo; the collective cursor is always installed). s stays untouched.
+func (p *Proc) installCursors(s cursorSnap, p2pToo bool) {
+	p.logColl = s.coll
 	if !p2pToo {
 		return
 	}
-	p.logSend = make(map[p2pKey]int, len(s.Send))
-	for k, v := range s.Send {
-		p.logSend[k] = v
-	}
-	p.logRecv = make(map[p2pKey]int, len(s.Recv))
-	for k, v := range s.Recv {
-		p.logRecv[k] = v
-	}
+	c := p.cursors()
+	c.send = append(c.send[:0], s.send()...)
+	c.recv = append(c.recv[:0], s.recv()...)
 }
 
 // MsgLogRecord records this process's cursors as logical slot `slot`'s
@@ -293,7 +315,7 @@ func (p *Proc) MsgLogRecord(slot, iter int) {
 	if !l.Active() {
 		return
 	}
-	l.Snapshot(slot, iter, p.msglogCursors())
+	l.snapshot(slot, iter, p.msglogCursors())
 }
 
 // MsgLogInstall installs the boundary snapshot for (slot, iter) into this
@@ -306,19 +328,22 @@ func (p *Proc) MsgLogInstall(slot, iter int, p2pToo bool) bool {
 	if !l.Active() {
 		return false
 	}
-	s := l.SnapshotAt(slot, iter)
-	if s == nil {
-		return false
+	s, ok := l.snapshotAt(slot, iter)
+	if ok {
+		p.installCursors(s, p2pToo)
 	}
-	p.installCursors(s, p2pToo)
-	return true
+	return ok
 }
 
 // MsgLogHasSnapshot reports whether a boundary snapshot exists for (slot,
 // iter).
 func (p *Proc) MsgLogHasSnapshot(slot, iter int) bool {
 	l := p.world.msglog
-	return l.Active() && l.SnapshotAt(slot, iter) != nil
+	if !l.Active() {
+		return false
+	}
+	_, ok := l.snapshotAt(slot, iter)
+	return ok
 }
 
 // MsgLogFastForward sets this process's cursors to the frontier of every
@@ -337,7 +362,10 @@ func (p *Proc) MsgLogFastForward(slot int) {
 
 // MsgLogResetCursors zeroes this process's log cursors.
 func (p *Proc) MsgLogResetCursors() {
-	p.logSend, p.logRecv, p.logColl = nil, nil, 0
+	if c := p.logP2P; c != nil {
+		c.send, c.recv = c.send[:0], c.recv[:0]
+	}
+	p.logColl = 0
 }
 
 // MsgLogResetOnce clears the whole world log for repair generation gen
@@ -356,30 +384,34 @@ func (p *Proc) MsgLogResetOnce(gen int) {
 // MsgLogCommit records that logical slot `slot` committed checkpoint
 // version `version` at this process's current time, advancing the GC
 // watermark and trimming unreachable entries when every slot has
-// committed. It updates the log-size gauges and, when entries were
-// dropped, emits mpi.msg_log_trim with rank -1 at the virtual time the
-// watermark was reached — not at the clock of whichever slot's commit
-// happened to complete it first in wall-clock order.
+// committed.
 func (p *Proc) MsgLogCommit(slot, version int) {
 	l := p.world.msglog
 	if !l.Active() {
 		return
 	}
 	water, trimmed, reached := l.NoteCommit(slot, version, p.clock.Now())
-	p.msglogGauges(l)
+	p.world.noteTrim(water, trimmed, reached)
+}
+
+// noteTrim updates the log-size gauges and, when a watermark advance
+// dropped entries, emits mpi.msg_log_trim with rank -1 at the virtual
+// time the watermark was reached — not at the clock of whichever slot's
+// commit happened to complete it first in wall-clock order.
+func (w *World) noteTrim(water, trimmed int, reached float64) {
+	w.msglogGauges()
 	if trimmed > 0 {
-		p.world.obs.Registry().Counter(obs.MMsgLogTrimmed).Add(float64(trimmed))
-		p.world.obs.Emit(reached, -1, obs.LayerMPI, obs.EvMsgLogTrim,
+		w.obs.Registry().Counter(obs.MMsgLogTrimmed).Add(float64(trimmed))
+		w.obs.Emit(reached, -1, obs.LayerMPI, obs.EvMsgLogTrim,
 			obs.KV("watermark", water), obs.KV("trimmed", trimmed))
 	}
 }
 
 // msglogGauges publishes the log's current size to the metrics registry.
-func (p *Proc) msglogGauges(l *MsgLog) {
-	entries, bytes, _, _ := l.Stats()
-	reg := p.world.obs.Registry()
-	reg.Gauge(obs.MMsgLogEntries).Set(float64(entries))
-	reg.Gauge(obs.MMsgLogBytes).Set(float64(bytes))
+func (w *World) msglogGauges() {
+	reg := w.obs.Registry()
+	reg.Gauge(obs.MMsgLogEntries).Set(float64(w.msglog.entries.Load()))
+	reg.Gauge(obs.MMsgLogBytes).Set(float64(w.msglog.bytes.Load()))
 }
 
 // nextSeq returns the process's next collective sequence number on comm id.

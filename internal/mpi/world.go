@@ -150,7 +150,9 @@ func (w *World) RegisterLineageComm(c *Comm) {
 	if w.msglog == nil || c == nil {
 		return
 	}
-	w.msglog.RegisterComm(c.id, len(c.group))
+	if w.msglog.register(c) {
+		c.logged.Store(true)
+	}
 }
 
 // Size returns the number of processes in the world.
@@ -254,6 +256,9 @@ func (w *World) markDead(r int) {
 	w.dead[r] = true
 	w.deadAt[r] = w.procs[r].clock.Now()
 	w.deadLs = append(w.deadLs, r)
+	if w.msglog != nil {
+		w.msglog.hold(r, w.nComm)
+	}
 	for _, rv := range w.colls {
 		if !rv.hasMember(r) {
 			continue

@@ -83,9 +83,12 @@ run_stress() {
     # differently at each core count. Repeat the tests that would see it
     # (lost and unconsumed wake-ups, equivalence across host schedules,
     # the chaos table minus its 1024-rank row) across GOMAXPROCS values.
+    # The message log's per-stream locks and lock-free gates get the same
+    # treatment: its unit tests and the localized-recovery runs.
     for procs in 1 2 4 8; do
         banner "stress: GOMAXPROCS=$procs, -count=20"
         GOMAXPROCS=$procs go test -count=20 -run 'Equiv|Wake' ./internal/mpi/
+        GOMAXPROCS=$procs go test -count=20 -run 'MsgLog|Localized' ./internal/mpi/ ./internal/core/
         GOMAXPROCS=$procs go test -count=20 -short -run 'CampaignMatrix' ./internal/chaos/
     done
 }
