@@ -74,6 +74,10 @@ type appRun struct {
 	checksum func(n int) (float64, error)
 }
 
+// appFor builds the application a run executes; a test swaps in one that
+// panics or hangs.
+var appFor = buildApp
+
 func buildApp(cfg RunConfig) (appRun, error) {
 	switch cfg.App {
 	case AppHeatdis:
@@ -173,7 +177,7 @@ func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, event
 		timeout = DefaultTimeout
 	}
 	rep := &RunReport{RunConfig: cfg}
-	run, err := buildApp(cfg)
+	run, err := appFor(cfg)
 	if err != nil {
 		rep.addViolation(err.Error())
 		return rep
@@ -220,27 +224,48 @@ func RunOneStreaming(cfg RunConfig, refs *RefCache, timeout time.Duration, event
 	}
 
 	baseline := runtime.NumGoroutine()
-	done := make(chan *core.Result, 1)
-	go func() { done <- core.Run(job, ccfg, run.app) }()
-	var res *core.Result
+	type outcome struct {
+		res      *core.Result
+		panicked any
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		// mpi.RunJob re-raises a rank's panic here once every rank has
+		// returned; it is this seed's violation, not the sweep's end.
+		defer func() {
+			if r := recover(); r != nil {
+				done <- outcome{panicked: r}
+			}
+		}()
+		done <- outcome{res: core.Run(job, ccfg, run.app)}
+	}()
+	var out outcome
 	select {
-	case res = <-done:
+	case out = <-done:
 	case <-time.After(timeout):
-		// Deadlock in the stack under test. The run's goroutines are still
-		// live, so do not touch the recorder (it is being written to);
-		// report the hang and bail.
 		rep.Hung = true
 		rep.addViolation(fmt.Sprintf("hang: run exceeded the %s watchdog", timeout))
+	}
+	// The injector's counts are read under its own lock, so they are safe
+	// to read while a hung run's goroutines live.
+	rep.KillsFired = inj.Fired()
+	rep.SpareKillsFired = inj.FiredSpare()
+	rep.FlipsFired = inj.FlipsFired()
+	if rep.Hung {
+		// Deadlock in the stack under test. The run's goroutines are still
+		// live, so do not touch the recorder (it is being written to).
+		return rep
+	}
+	if out.panicked != nil {
+		rep.addViolation(fmt.Sprintf("panic: %v", out.panicked))
 		return rep
 	}
 
+	res := out.res
 	rep.JobFailed = res.Failed
 	rep.Error = classifyErr(res.Err())
 	rep.WallSeconds = res.WallTime
 	rep.Launches = res.Launches
-	rep.KillsFired = inj.Fired()
-	rep.SpareKillsFired = inj.FiredSpare()
-	rep.FlipsFired = inj.FlipsFired()
 
 	reg := rec.Registry()
 	rep.SDCInjected = int(reg.CounterValue(obs.MSDCInjected))

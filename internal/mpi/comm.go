@@ -65,9 +65,6 @@ func (c *Comm) Group() []int {
 	return cp
 }
 
-// Revoked reports whether the communicator has been revoked.
-func (c *Comm) Revoked() bool { return c.revoked.Load() }
-
 // recvGiveUp decides whether a receive blocked on world rank srcW can
 // still be satisfied. It returns a non-nil error — and the virtual time at
 // which the failure becomes observable — once srcW has died (FailedError
@@ -190,7 +187,8 @@ func (c *Comm) SendSized(p *Proc, dst, tag int, data []byte, simBytes int) error
 // the sender's new clock; a nonblocking one charges only the post latency
 // and the message arrives one transfer later. On a logged lineage
 // communicator, a send the log already holds is a replayed duplicate and
-// is suppressed; any other is delivered, then logged.
+// is suppressed; any other is appended to its stream, the message's only
+// queue, and the receiver is woken through its mailbox.
 func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int, blocking bool) (arrive float64, err error) {
 	me := c.checkMember(p, op)
 	dstW := c.WorldRank(dst)
@@ -213,22 +211,26 @@ func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int,
 		arrive += cost
 	}
 
+	if sawPayload != nil {
+		sawPayload(data)
+	}
+	key := msgKey{comm: c.id, src: p.rank, tag: tag}
+	mail := &c.world.procs[dstW].mail
 	l := p.msglogOn(c)
 	if l == nil {
-		c.deliver(p, dstW, tag, data, arrive, -1)
+		mail.deliver(key, message{data: data, arriveAt: arrive})
 		return arrive, nil
 	}
 	cur := p.cursorOf(&p.cursors().send, l, p2pKey{src: me, dst: dst, tag: tag})
 	seq := cur.n
 	cur.n++
-	if l.send(cur.s, seq, p2pEntry{data: data, simBytes: simBytes, arriveAt: arrive}, func() {
-		c.deliver(p, dstW, tag, data, arrive, seq)
-	}) {
-		// Replay: this message was delivered and logged by a previous
-		// incarnation of this program point; suppress the duplicate.
+	if l.send(cur.s, seq, p2pEntry{data: data, simBytes: simBytes, arriveAt: arrive}) {
+		// Replay: a previous incarnation of this program point already
+		// logged this message; suppress the duplicate.
 		p.noteReplay("send", dst, tag)
 		return arrive, nil
 	}
+	mail.wake(key)
 	if p.world.obs.Enabled() {
 		p.Event(obs.LayerMPI, obs.EvMsgLogged, obs.KV("peer", dst), obs.KV("tag", tag), obs.KV("bytes", simBytes))
 		p.world.obs.Registry().Counter(obs.MMsgLogged).Inc()
@@ -237,19 +239,7 @@ func (c *Comm) post(p *Proc, op string, dst, tag int, data []byte, simBytes int,
 	return arrive, nil
 }
 
-// deliver enqueues one message from p at world rank dstW's mailbox. seq
-// is its sequence number in the message log's stream, or -1 when unlogged.
-func (c *Comm) deliver(p *Proc, dstW, tag int, data []byte, arrive float64, seq int) {
-	if sawPayload != nil {
-		sawPayload(data)
-	}
-	c.world.procs[dstW].mail.deliver(
-		msgKey{comm: c.id, src: p.rank, tag: tag},
-		message{data: data, arriveAt: arrive, seq: seq},
-	)
-}
-
-// sawPayload, when a test sets it, sees every payload post delivers and
+// sawPayload, when a test sets it, sees every payload post sends and
 // every payload complete serves, from the mailbox or the message log.
 var sawPayload func(data []byte)
 
@@ -270,43 +260,36 @@ func (c *Comm) Recv(p *Proc, src, tag int) ([]byte, error) {
 	return c.complete(p, p.msglogOn(c), p2pKey{src: src, dst: me, tag: tag}, true)
 }
 
-// complete is the one receive path, behind Recv and Request.Wait. It
-// serves the message on stream lkey from the message log l when l holds
-// the receiver's next entry (a replay, or a send logged before this
-// receive got to the mailbox), dropping the live mailbox copy; otherwise
-// it blocks on the mailbox until the message arrives or the sender dies
-// or departs. The clock advances to the arrival time, then by the
-// completion overhead: the receive latency, congested when `congested` is
-// set (Recv) and plain otherwise (Wait).
+// complete is the one receive path, behind Recv and Request.Wait. On a
+// logged stream (l non-nil) it takes the entry at the receiver's cursor
+// from stream lkey, a first receive and a replay alike; otherwise the head
+// of the mailbox queue. Either way it parks on the mailbox until the
+// message is there or the sender dies or departs. The clock advances to
+// the arrival time, then by the completion overhead: the receive latency,
+// congested when `congested` is set (Recv) and plain otherwise (Wait).
 func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte, error) {
 	srcW := c.WorldRank(lkey.src)
 	key := msgKey{comm: c.id, src: srcW, tag: lkey.tag}
 	start := p.clock.Now()
-	var msg message
 	var cur *cursor
-	fromLog := false
 	if l != nil {
 		cur = p.cursorOf(&p.cursors().recv, l, lkey)
-		if e, ok := cur.s.at(cur.n); ok {
-			p.mail.dropThrough(key, cur.n)
-			msg, fromLog = message{data: e.data, arriveAt: e.arriveAt, seq: cur.n}, true
+		if logPoint != nil {
+			logPoint("take", lkey, cur.n)
 		}
 	}
-	if !fromLog {
-		var release float64
-		var err error
-		msg, err = p.mail.receive(p, key, func() error {
-			e, rel := c.recvGiveUp(srcW)
-			release = rel
-			return e
-		})
-		if err != nil {
-			// Failures only become observable at their virtual release time.
-			p.clock.AdvanceTo(release)
-			// Account the blocked time up to failure detection.
-			p.rec.Add(trace.AppMPI, p.clock.Now()-start)
-			return nil, c.fail(p, err)
-		}
+	var release float64
+	msg, replay, err := p.mail.receive(p, key, cur, func() error {
+		e, rel := c.recvGiveUp(srcW)
+		release = rel
+		return e
+	})
+	if err != nil {
+		// Failures only become observable at their virtual release time.
+		p.clock.AdvanceTo(release)
+		// Account the blocked time up to failure detection.
+		p.rec.Add(trace.AppMPI, p.clock.Now()-start)
+		return nil, c.fail(p, err)
 	}
 	p.clock.AdvanceTo(msg.arriveAt)
 	overhead := p.world.machine.NetLatency
@@ -316,25 +299,15 @@ func (c *Comm) complete(p *Proc, l *MsgLog, lkey p2pKey, congested bool) ([]byte
 	p.clock.Advance(overhead)
 	p.rec.Add(trace.AppMPI, p.clock.Now()-start)
 	if cur != nil {
-		p.bumpRecv(cur, msg.seq, fromLog)
+		cur.n++
+		if replay {
+			p.noteReplay("recv", lkey.src, lkey.tag)
+		}
 	}
 	if sawPayload != nil {
 		sawPayload(msg.data)
 	}
 	return msg.data, nil
-}
-
-// bumpRecv advances receive cursor cur after consuming the message
-// carrying absolute sequence seq (-1 when the send was unlogged, in which
-// case the cursor simply increments). A consumption served from the log
-// below the stream's high-water mark is a replay, and is noted.
-func (p *Proc) bumpRecv(cur *cursor, seq int, fromLog bool) {
-	if seq < 0 {
-		seq = cur.n
-	} else if replay := cur.s.noteConsumed(seq); replay && fromLog {
-		p.noteReplay("recv", cur.key.src, cur.key.tag)
-	}
-	cur.n = seq + 1
 }
 
 // Sendrecv performs a combined send to dst and receive from src, the idiom

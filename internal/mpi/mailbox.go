@@ -11,15 +11,10 @@ type msgKey struct {
 }
 
 // message is an in-flight point-to-point payload. arriveAt is the virtual
-// time at which the message is available at the receiver. seq is the
-// message's absolute sequence number in the sender-based message log's
-// stream for this (sender, receiver, tag), or -1 when the send was not
-// logged; a receiver that serves the same message from the log drops the
-// mailbox copy by seq (dropThrough).
+// time at which the message is available at the receiver.
 type message struct {
 	data     []byte
 	arriveAt float64
-	seq      int
 }
 
 // msgQueue is one matching queue: a slice consumed from head so dequeue
@@ -29,8 +24,10 @@ type msgQueue struct {
 	msgs []message
 }
 
-// mailbox is a process's incoming message store. Senders enqueue without
-// blocking (eager protocol). Only the owning rank receives, so at most one
+// mailbox is a process's incoming message store for unlogged traffic, and
+// its one place to wait for any message: a logged send appends to its
+// message-log stream instead and wakes the receiver here. Senders never
+// block (eager protocol). Only the owning rank receives, so at most one
 // receiver waits at a time: it registers itself as waiter, with the key
 // it awaits, and parks until a matching message arrives, the sender dies,
 // or the communicator is revoked.
@@ -73,6 +70,13 @@ func (m *mailbox) deliver(key msgKey, msg message) {
 	m.wakeUnlock(m.want == key)
 }
 
+// wake wakes the receiver if it awaits key, after a logged send's append.
+// Callers must not hold a stream lock (receive takes one under m.mu).
+func (m *mailbox) wake(key msgKey) {
+	m.mu.Lock()
+	m.wakeUnlock(m.want == key)
+}
+
 // wakeAll wakes the receiver, whatever key it awaits, so it re-checks
 // failure/revocation state. State changes that could make its giveUp
 // fire (markDead, Revoke, depart) publish their state first and then call
@@ -99,16 +103,23 @@ func (m *mailbox) wakeUnlock(match bool) {
 }
 
 // receive blocks until a message matching key is available or giveUp
-// returns a non-nil error (sender died, communicator revoked). The queue
-// and giveUp are checked under m.mu, and the receiver registers as waiter
-// under the same lock before it parks, so a deliver or wakeAll that lands
-// after the checks finds it registered and cannot be lost. p is the
-// receiving process, the mailbox's owner; once woken it re-checks.
-func (m *mailbox) receive(p *Proc, key msgKey, giveUp func() error) (message, error) {
+// returns a non-nil error (sender died, communicator revoked). On a logged
+// stream (cur non-nil) the message is the stream's entry at cur, taken
+// under the stream's lock, and replay reports whether a previous
+// incarnation of the receiver already consumed it; otherwise it is the
+// head of key's queue. The message and giveUp are checked under m.mu, and
+// the receiver registers as waiter under the same lock before it parks,
+// so a deliver, wake or wakeAll that lands after the checks finds it
+// registered and cannot be lost. p is the receiving process, the
+// mailbox's owner; once woken it re-checks.
+func (m *mailbox) receive(p *Proc, key msgKey, cur *cursor, giveUp func() error) (msg message, replay bool, err error) {
 	for {
 		m.mu.Lock()
-		if q, ok := m.q[key]; ok && q.head < len(q.msgs) {
-			msg := q.msgs[q.head]
+		ok := false
+		if cur != nil {
+			msg, replay, ok = cur.s.take(cur.n)
+		} else if q := m.q[key]; q != nil && q.head < len(q.msgs) {
+			msg, ok = q.msgs[q.head], true
 			q.msgs[q.head] = message{} // drop the payload reference
 			q.head++
 			if q.head == len(q.msgs) {
@@ -116,39 +127,18 @@ func (m *mailbox) receive(p *Proc, key msgKey, giveUp func() error) (message, er
 				delete(m.q, key)
 				m.free = append(m.free, q)
 			}
+		}
+		if ok {
 			m.mu.Unlock()
-			return msg, nil
+			return msg, replay, nil
 		}
 		if err := giveUp(); err != nil {
 			m.mu.Unlock()
-			return message{}, err
+			return message{}, false, err
 		}
 		m.waiter, m.want = p, key
 		m.mu.Unlock()
 		p.Park()
-	}
-}
-
-// dropThrough removes queued messages for key whose log sequence number is
-// <= maxSeq. When a receiver serves a message from the sender-based log,
-// the live mailbox copy (delivered by the original send on the same
-// communicator) must be consumed too, or it would satisfy a later receive
-// out of order. Messages with seq -1 (unlogged sends) are never dropped.
-func (m *mailbox) dropThrough(key msgKey, maxSeq int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	q, ok := m.q[key]
-	if !ok {
-		return
-	}
-	for q.head < len(q.msgs) && q.msgs[q.head].seq >= 0 && q.msgs[q.head].seq <= maxSeq {
-		q.msgs[q.head] = message{}
-		q.head++
-	}
-	if q.head == len(q.msgs) {
-		q.head, q.msgs = 0, q.msgs[:0]
-		delete(m.q, key)
-		m.free = append(m.free, q)
 	}
 }
 

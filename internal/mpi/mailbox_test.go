@@ -31,7 +31,7 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 		foreign bool // wake delivers another key; the test then delivers key
 	}{
 		{"deliver", func(w *World, key msgKey) {
-			w.Proc(0).mail.deliver(key, message{data: []byte{42}, seq: -1})
+			w.Proc(0).mail.deliver(key, message{data: []byte{42}})
 		}, gotDelivery, false},
 		{"markDead", func(w *World, _ msgKey) {
 			w.markDead(1)
@@ -47,7 +47,7 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 		{"deliverOtherKey", func(w *World, key msgKey) {
 			other := key
 			other.tag++
-			w.Proc(0).mail.deliver(other, message{data: []byte{7}, seq: -1})
+			w.Proc(0).mail.deliver(other, message{data: []byte{7}})
 		}, gotDelivery, true},
 	}
 	for _, sched := range []struct {
@@ -78,7 +78,7 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 				}
 				done := make(chan result, 1)
 				go func() {
-					msg, err := p.mail.receive(p, key, giveUp)
+					msg, _, err := p.mail.receive(p, key, nil, giveUp)
 					done <- result{msg, err}
 				}()
 				if wk.foreign {
@@ -94,7 +94,7 @@ func TestWakeAllNotLostBeforeWait(t *testing.T) {
 					if !waiting || checks.Load() != 1 {
 						t.Fatalf("a deliver for another key woke the receiver (registered=%v, giveUp checks=%d)", waiting, checks.Load())
 					}
-					w.Proc(0).mail.deliver(key, message{data: []byte{42}, seq: -1})
+					w.Proc(0).mail.deliver(key, message{data: []byte{42}})
 				}
 				select {
 				case r := <-done:

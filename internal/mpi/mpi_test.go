@@ -462,7 +462,7 @@ func TestRevokePoisonsPendingAndFutureOps(t *testing.T) {
 			}
 			return nil
 		default:
-			for !c.Revoked() {
+			for !c.revoked.Load() {
 			}
 			if err := c.Barrier(p); !IsRevoked(err) {
 				t.Errorf("barrier after revoke: %v", err)

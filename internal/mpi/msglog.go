@@ -20,18 +20,22 @@ import (
 //     recording how far into the log that slot's traffic had progressed
 //     when it entered iteration `iter`.
 //
+// A logged p2p message lives only in its stream, the queue its receiver
+// reads for a first receive and a replay alike.
+//
 // After a failure, the replacement rank restores its own checkpoint and
 // re-executes forward: its sends are suppressed (they were already
-// delivered and logged), its receives and collectives are served from the
-// log, and survivors pause in place, skipping already-executed iterations
-// while their collective cursor replays the logged lineage. Replay is
+// logged), its receives and collectives are served from the log, and
+// survivors pause in place, skipping already-executed iterations while
+// their collective cursor replays the logged lineage. Replay is
 // deterministic because the log stores the exact bytes and virtual arrival
 // times of the original exchange.
 //
 // Garbage collection: when every slot has committed checkpoint version W
-// (the watermark), all log entries belonging to iterations before W are
-// unreachable — replay can never start earlier than the best common
-// version — and are trimmed using the boundary-W cursor snapshots.
+// (the watermark), all log entries that both ends of their stream had
+// passed before iteration W are unreachable — replay can never start
+// earlier than the best common version — and are trimmed using the
+// boundary-W cursor snapshots.
 //
 // "Slot" throughout means the logical rank: the rank within the lineage
 // communicator, which Fenix keeps stable across spare substitution and
@@ -41,10 +45,11 @@ import (
 // Locking: no lock is shared by every rank on the traffic path. The
 // disabled flag, the entry/byte counters and the collective lineage's
 // length are atomics, and whether a communicator is logged is marked on
-// the Comm. Each p2p stream has its own lock, which a send or a receive
-// on it takes alone once the rank has resolved the stream into its
-// cursor. mu guards the stream map, the collective lineage, the boundary
-// snapshots and the watermark; where both are held (GC, reset, disable,
+// the Comm. Each p2p stream has its own lock, which a send takes alone
+// once the rank has resolved the stream into its cursor, and a receive
+// inside its mailbox lock (no mailbox lock is taken under a stream's). mu
+// guards the stream map, the collective lineage, the boundary snapshots
+// and the watermark; where both are held (GC, reset, disable,
 // frontier) the stream lock nests inside mu, and mu nests inside world.mu
 // when a completed collective is logged or a rank dies.
 type MsgLog struct {
@@ -96,13 +101,14 @@ type p2pEntry struct {
 }
 
 // p2pStream is one stream's entries, under the stream's own lock: a send
-// or a receive on it takes that lock and no lock other ranks share. base
-// is the absolute sequence number of entries[0]; absolute seq = base +
-// position. maxSeen is the highest absolute receive cursor any incarnation
-// of the receiver ever reached — consumption below it is a replay, at it a
-// first consumption. A stream, once created, stays in the log's map for
-// the log's lifetime (a reset empties it in place), so the pointer a
-// rank's cursor caches never goes stale.
+// or a receive on it takes that lock and no lock other ranks share. A
+// receive reads the entry at its cursor and leaves it for replay until GC
+// trims it. base is the absolute sequence number of entries[0]; absolute
+// seq = base + position. maxSeen is the highest absolute receive cursor
+// any incarnation of the receiver ever reached — consumption below it is
+// a replay, at it a first consumption. A stream, once created, stays in
+// the log's map for the log's lifetime (a reset empties it in place), so
+// the pointer a rank's cursor caches never goes stale.
 type p2pStream struct {
 	mu      sync.Mutex
 	key     p2pKey
@@ -241,8 +247,11 @@ func (l *MsgLog) disableLocked() {
 }
 
 // clearLocked drops every entry and boundary snapshot. Streams are
-// emptied in place, so cursors keep their stream pointers. Caller holds
-// mu.
+// emptied in place, so cursors keep their stream pointers. No live
+// receiver reads a dropped entry: every rank resets its cursors before
+// its first traffic of a reset epoch, and a disable runs in a shrink
+// repair, after every member left the communicators the entries were
+// sent on. Caller holds mu.
 func (l *MsgLog) clearLocked() {
 	for _, s := range l.p2p {
 		s.mu.Lock()
@@ -297,63 +306,57 @@ func (l *MsgLog) stream(key p2pKey) *p2pStream {
 
 // send is one send on stream s from a sender whose cursor is at seq. When
 // seq is below the stream's length, a previous incarnation of this
-// program point already delivered and logged the message: send reports
-// true and does nothing else. Otherwise it calls deliver and then appends
-// e — deliver before append, so a receiver that sees the entry is
-// guaranteed the mailbox entry exists too. deliver runs outside the
-// stream's lock: the mailbox lock must never nest inside a stream's (a
-// receiver holds its mailbox lock while it takes world.mu, and world.mu
-// nests the log lock, which nests the streams'). Only the sender appends
-// to its stream. The entry keeps e.data itself, the slice the mailbox delivered (the sender
-// relinquished it at send), and a replay serves it as is.
-func (l *MsgLog) send(s *p2pStream, seq int, e p2pEntry, deliver func()) (replay bool) {
+// program point already logged the message: send reports true and does
+// nothing else. Otherwise it appends e in the same lock section; the
+// caller wakes the receiver after the unlock. Only the sender appends to
+// its stream. The entry keeps e.data itself (the sender relinquished it
+// at send), and every receive, a replay included, serves it as is.
+func (l *MsgLog) send(s *p2pStream, seq int, e p2pEntry) (replay bool) {
+	if logPoint != nil {
+		logPoint("append", s.key, seq)
+	}
 	s.mu.Lock()
-	replay = seq < s.base+len(s.entries)
-	s.mu.Unlock()
-	if replay {
+	defer s.mu.Unlock()
+	if seq < s.base+len(s.entries) {
 		return true
 	}
-	deliver()
-	s.mu.Lock()
 	s.entries = append(s.entries, e)
-	s.mu.Unlock()
 	l.entries.Add(1)
 	l.bytes.Add(int64(e.simBytes))
 	return false
 }
 
-// at returns the entry with absolute sequence seq, if logged and not yet
-// trimmed.
-func (s *p2pStream) at(seq int) (p2pEntry, bool) {
+// take returns the entry with absolute sequence seq as a message, if it
+// has been appended, and whether consuming it is a replay: seq below
+// maxSeen, which a first consumption raises. GC never trims past a
+// receiver's boundary cursor at the watermark, and replay never rewinds
+// below it, so a seq below base is a protocol violation.
+func (s *p2pStream) take(seq int) (msg message, replay, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if seq >= s.base+len(s.entries) {
-		return p2pEntry{}, false
+		return message{}, false, false
 	}
 	if seq < s.base {
 		panic(fmt.Sprintf("mpi: msglog replay below GC watermark: key %+v seq %d base %d", s.key, seq, s.base))
 	}
-	return s.entries[seq-s.base], true
+	if replay = seq < s.maxSeen; !replay {
+		s.maxSeen = seq + 1
+	}
+	e := s.entries[seq-s.base]
+	return message{data: e.data, arriveAt: e.arriveAt}, replay, true
 }
+
+// logPoint, when a test sets it, is called before a logged send's
+// append ("append") and before a logged receive's take ("take"), so a
+// test can hold either side to force an interleaving.
+var logPoint func(point string, key p2pKey, seq int)
 
 // len returns the stream's absolute length (next sequence number).
 func (s *p2pStream) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.base + len(s.entries)
-}
-
-// noteConsumed records that absolute seq was consumed by the receiver and
-// reports whether this was a replay (a previous incarnation had already
-// consumed it).
-func (s *p2pStream) noteConsumed(seq int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq < s.maxSeen {
-		return true
-	}
-	s.maxSeen = seq + 1
-	return false
 }
 
 // dropP2P removes s's first n entries and returns n. Caller holds s.mu.
@@ -536,10 +539,12 @@ func (l *MsgLog) firstCommitLocked(slot, w int) float64 {
 }
 
 // trimLocked drops every entry that belongs to an iteration before the
-// watermark W, using the boundary-W snapshots: a stream's prefix below the
-// sender's boundary-W send cursor was sent before iteration W and can
-// never be replayed (replay never starts before the best common version,
-// which is >= W). Caller holds mu; each stream's lock nests inside it.
+// watermark W, using the boundary-W snapshots: a stream's prefix below
+// both the sender's boundary-W send cursor and the receiver's boundary-W
+// receive cursor was sent and received before iteration W and can never
+// be read again (replay never starts before the best common version,
+// which is >= W); a message received after the boundary is still live.
+// Caller holds mu; each stream's lock nests inside it.
 func (l *MsgLog) trimLocked(w int) int {
 	trimmed := 0
 	for slot := 0; slot < l.nSlots; slot++ {
@@ -550,8 +555,8 @@ func (l *MsgLog) trimLocked(w int) int {
 		for _, c := range snap.send() {
 			s := c.s
 			s.mu.Lock()
-			if n := min(c.n-s.base, len(s.entries)); n > 0 {
-				trimmed += l.dropP2P(s, n)
+			if n := min(c.n, l.recvCursorLocked(c.key, w)) - s.base; n > 0 {
+				trimmed += l.dropP2P(s, min(n, len(s.entries)))
 			}
 			s.mu.Unlock()
 		}
@@ -570,6 +575,18 @@ func (l *MsgLog) trimLocked(w int) int {
 	}
 	l.trimmed += int64(trimmed)
 	return trimmed
+}
+
+// recvCursorLocked returns the receiver's boundary-w receive cursor on
+// stream key: 0 when its snapshot is missing or never touched the stream.
+// Caller holds mu.
+func (l *MsgLog) recvCursorLocked(key p2pKey, w int) int {
+	for _, c := range l.snaps[snapKey{slot: key.dst, iter: w}].recv() {
+		if c.key == key {
+			return c.n
+		}
+	}
+	return 0
 }
 
 // Stats returns the current entry count, held payload bytes, total trimmed

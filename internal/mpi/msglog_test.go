@@ -1,12 +1,17 @@
 package mpi
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 // White-box unit tests for the sender-based message log: the GC trim
@@ -34,7 +39,7 @@ func logKey(src, dst, tag int) p2pKey { return p2pKey{src: src, dst: dst, tag: t
 // the stream's frontier does.
 func appendP2P(l *MsgLog, key p2pKey, data []byte, simBytes int, at float64) {
 	s := l.stream(key)
-	l.send(s, s.len(), p2pEntry{data: data, simBytes: simBytes, arriveAt: at}, func() {})
+	l.send(s, s.len(), p2pEntry{data: data, simBytes: simBytes, arriveAt: at})
 }
 
 // frontierCursor is a cursor at key's current stream length.
@@ -91,7 +96,7 @@ func TestMsgLogTrimMath(t *testing.T) {
 	// Absolute sequence numbers survive the trim: seq 1 (epoch 1's message)
 	// is still served, and stream length counts trimmed entries.
 	s := l.stream(logKey(0, 1, 7))
-	if _, ok := s.at(1); !ok {
+	if _, _, ok := s.take(1); !ok {
 		t.Fatal("post-watermark entry lost by the trim")
 	}
 	if got := s.len(); got != 2 {
@@ -104,7 +109,7 @@ func TestMsgLogTrimMath(t *testing.T) {
 				t.Error("replay below the GC watermark did not panic")
 			}
 		}()
-		s.at(0)
+		s.take(0)
 	}()
 
 	// A stale commit (version <= watermark) never re-trims or regresses.
@@ -224,25 +229,41 @@ func TestMsgLogLineageGate(t *testing.T) {
 	}
 }
 
-func TestMsgLogNoteConsumedReplayDetection(t *testing.T) {
+// TestMsgLogTakeReplayDetection pins replay detection at the take: a
+// receive below the stream's high-water mark is a replay, one at or above
+// it a first consumption that raises the mark.
+func TestMsgLogTakeReplayDetection(t *testing.T) {
 	l := NewMsgLog()
 	l.register(lineageOf(2))
 	k := logKey(0, 1, 7)
 	appendP2P(l, k, []byte{1}, 10, 1.0)
 	appendP2P(l, k, []byte{2}, 10, 1.5)
 	s := l.stream(k)
-	if s.noteConsumed(0) {
+	take := func(seq int) bool {
+		t.Helper()
+		msg, replay, ok := s.take(seq)
+		if !ok || msg.data[0] != byte(seq+1) {
+			t.Fatalf("take(%d) = (%v, %v), want the logged entry", seq, msg.data, ok)
+		}
+		return replay
+	}
+	if take(0) {
 		t.Error("first consumption of seq 0 flagged as replay")
 	}
-	if s.noteConsumed(1) {
+	if take(1) {
 		t.Error("first consumption of seq 1 flagged as replay")
 	}
 	// A replacement re-reading the stream from the start is replaying.
-	if !s.noteConsumed(0) {
+	if !take(0) {
 		t.Error("re-consumption below maxSeen not flagged as replay")
 	}
+	// Past the stream's end there is nothing to take yet.
+	if _, _, ok := s.take(2); ok {
+		t.Error("take past the stream's end returned an entry")
+	}
 	// Replay does not move the high-water mark backwards.
-	if s.noteConsumed(2) {
+	appendP2P(l, k, []byte{3}, 10, 2.0)
+	if take(2) {
 		t.Error("first consumption of seq 2 flagged as replay after a replay")
 	}
 }
@@ -254,15 +275,18 @@ type watermarkModel struct {
 	commit   map[int]int
 	commitAt map[snapKey]float64
 	water    int
-	base     []int // per sender's stream, then the collective lineage
+	base     []int   // per sender's stream, then the collective lineage
+	recv     [][]int // per sender's stream: its receiver's boundary-k receive cursor
 }
 
-func newWatermarkModel(slots int) *watermarkModel {
-	return &watermarkModel{commit: map[int]int{}, commitAt: map[snapKey]float64{}, water: -1, base: make([]int, slots+1)}
+func newWatermarkModel(slots int, recv [][]int) *watermarkModel {
+	return &watermarkModel{commit: map[int]int{}, commitAt: map[snapKey]float64{}, water: -1, base: make([]int, slots+1), recv: recv}
 }
 
 // note applies one commit; the log holds one message per stream and one
-// collective per iteration, so every boundary-k cursor is k.
+// collective per iteration, so every boundary-k send and collective cursor
+// is k, and a stream is trimmed to the lesser of that and its receiver's
+// boundary-k receive cursor.
 func (m *watermarkModel) note(slots, slot, version int, at float64) (water, trimmed int, reached float64) {
 	if v, ok := m.commit[slot]; !ok || version > v {
 		m.commit[slot] = version
@@ -298,9 +322,13 @@ func (m *watermarkModel) note(slots, slot, version int, at float64) (water, trim
 		reached = max(reached, t)
 	}
 	for i := range m.base {
-		if w > m.base[i] {
-			trimmed += w - m.base[i]
-			m.base[i] = w
+		bound := w
+		if i < slots {
+			bound = min(w, m.recv[i][w])
+		}
+		if bound > m.base[i] {
+			trimmed += bound - m.base[i]
+			m.base[i] = bound
 		}
 	}
 	return w, trimmed, reached
@@ -309,7 +337,10 @@ func (m *watermarkModel) note(slots, slot, version int, at float64) (water, trim
 // TestMsgLogWatermarkMatchesBruteForce drives random per-slot commit
 // sequences, with resets mixed in, through the O(1) watermark and
 // compares every call's watermark, reach time and trimmed count with a
-// minimum recomputed over all slots each time.
+// minimum recomputed over all slots each time. Receivers lag their
+// senders at random boundaries (a message sent before the boundary and
+// received after it), and no trim may pass any stream's boundary receive
+// cursor at the watermark: the stream is the message's only copy.
 func TestMsgLogWatermarkMatchesBruteForce(t *testing.T) {
 	const iters = 24
 	for seed := uint64(0); seed < 50; seed++ {
@@ -319,11 +350,24 @@ func TestMsgLogWatermarkMatchesBruteForce(t *testing.T) {
 		l.register(lineageOf(slots))
 		// populate lays down one epoch per iteration: boundary-k
 		// snapshots, then one message per slot's stream and one
-		// collective.
+		// collective. Slot s sends on stream s (to s+1) and receives on
+		// stream s-1; at boundary k its receive cursor is k or, when the
+		// last message sent before the boundary is still in flight, k-1.
+		var recv [][]int
 		populate := func() {
+			recv = make([][]int, slots)
+			for i := range recv {
+				recv[i] = make([]int, iters)
+				for k := 1; k < iters; k++ {
+					recv[i][k] = k - rng.IntN(2)
+				}
+			}
 			for k := 0; k < iters; k++ {
 				for s := 0; s < slots; s++ {
-					l.snapshot(s, k, cursorSnap{cur: []cursor{frontierCursor(l, logKey(s, (s+1)%slots, 0))}, nSend: 1, coll: k})
+					in := (s + slots - 1) % slots
+					out := frontierCursor(l, logKey(s, (s+1)%slots, 0))
+					back := cursor{key: logKey(in, s, 0), n: recv[in][k], s: l.stream(logKey(in, s, 0))}
+					l.snapshot(s, k, cursorSnap{cur: []cursor{out, back}, nSend: 1, coll: k})
 				}
 				for s := 0; s < slots; s++ {
 					appendP2P(l, logKey(s, (s+1)%slots, 0), nil, 8, 0)
@@ -332,7 +376,7 @@ func TestMsgLogWatermarkMatchesBruteForce(t *testing.T) {
 			}
 		}
 		populate()
-		m := newWatermarkModel(slots)
+		m := newWatermarkModel(slots, recv)
 		clock := make([]float64, slots)
 		version := make([]int, slots)
 		gen := 0
@@ -343,7 +387,7 @@ func TestMsgLogWatermarkMatchesBruteForce(t *testing.T) {
 					t.Fatalf("seed %d: reset for generation %d refused", seed, gen)
 				}
 				populate()
-				m = newWatermarkModel(slots)
+				m = newWatermarkModel(slots, recv)
 				clear(version)
 				continue
 			}
@@ -356,6 +400,12 @@ func TestMsgLogWatermarkMatchesBruteForce(t *testing.T) {
 			if gotW != wantW || gotN != wantN || gotAt != wantAt {
 				t.Fatalf("seed %d op %d: NoteCommit(%d, %d) = (%d, %d, %v), brute force (%d, %d, %v)",
 					seed, op, s, version[s], gotW, gotN, gotAt, wantW, wantN, wantAt)
+			}
+			for i := 0; i < slots && gotW >= 0; i++ {
+				if base := l.stream(logKey(i, (i+1)%slots, 0)).base; base > recv[i][gotW] {
+					t.Fatalf("seed %d op %d: stream %d trimmed to %d, past its boundary-%d receive cursor %d",
+						seed, op, i, base, gotW, recv[i][gotW])
+				}
 			}
 		}
 		entries, _, _, _ := l.Stats()
@@ -445,13 +495,15 @@ func TestMsgLogConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			key := logKey(s, (s+1)%senders, 0)
-			st := l.stream(key)
+			key, inKey := logKey(s, (s+1)%senders, 0), logKey((s+senders-1)%senders, s, 0)
+			st, in := l.stream(key), l.stream(inKey)
 			for e := 0; e < epochs; e++ {
-				l.snapshot(s, e, cursorSnap{cur: []cursor{{key: key, n: e * perEpoch, s: st}}, nSend: 1})
+				// Lock-step exchange: by its boundary, a slot has
+				// received everything sent to it before the boundary.
+				l.snapshot(s, e, cursorSnap{cur: []cursor{{key: key, n: e * perEpoch, s: st}, {key: inKey, n: e * perEpoch, s: in}}, nSend: 1})
 				boundary <- s
 				for i := 0; i < perEpoch; i++ {
-					if l.send(st, e*perEpoch+i, p2pEntry{simBytes: 8}, func() {}) {
+					if l.send(st, e*perEpoch+i, p2pEntry{simBytes: 8}) {
 						t.Errorf("slot %d: fresh send at %d taken for a replay", s, e*perEpoch+i)
 					}
 				}
@@ -532,4 +584,81 @@ func TestMsgLogGCHeldThroughRecovery(t *testing.T) {
 	if _, _, _, ok := l.release(repaired.id); ok {
 		t.Fatal("a second release ran another advance")
 	}
+}
+
+// TestMsgLogReplayBeforeAppend forces ROADMAP 2(e)'s order, which chaos
+// sweeps reach only under load: a receiver consumes a logged message and
+// rewinds to replay it while the sender has not yet appended it. The
+// logPoint hook holds the sender at its append until the receiver has
+// reached its take of that message and parked; there is no barrier
+// before the replay. The replay must be served, once the append lands,
+// from the same stream the first receive read, and counted as a replay.
+func TestMsgLogReplayBeforeAppend(t *testing.T) {
+	w := NewWorld(cluster.New(2, quietMachine()), 2, 1, false, 1, 0)
+	w.EnableMsgLog()
+	rec := obs.New()
+	w.SetObs(rec)
+	c := w.CommWorld()
+	w.RegisterLineageComm(c)
+	key, recv := logKey(0, 1, 7), w.Proc(1)
+	parked := func() bool {
+		recv.mail.mu.Lock()
+		defer recv.mail.mu.Unlock()
+		return recv.mail.waiter == recv
+	}
+	var took atomic.Bool
+	logPoint = func(point string, k p2pKey, seq int) {
+		if k != key || seq != 0 {
+			return
+		}
+		if point == "take" {
+			took.Store(true)
+			return
+		}
+		// The sender's append waits for the receiver's take and park; a
+		// receiver that never parks releases it after a second.
+		for deadline := time.Now().Add(time.Second); !(took.Load() && parked()) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	defer func() { logPoint = nil }()
+
+	done := make(chan []error, 1)
+	go func() {
+		done <- runWorld(w, func(p *Proc) error {
+			if p.Rank() == 0 {
+				return c.Send(p, 1, 7, []byte{42})
+			}
+			p.MsgLogRecord(1, 1)
+			first, err := c.Recv(p, 0, 7)
+			if err != nil {
+				return err
+			}
+			if !p.MsgLogInstall(1, 1, true) {
+				return fmt.Errorf("no boundary snapshot to rewind to")
+			}
+			again, err := c.Recv(p, 0, 7)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(first, []byte{42}) || !bytes.Equal(again, first) {
+				return fmt.Errorf("first receive %v, replay %v, want [42] twice", first, again)
+			}
+			return nil
+		})
+	}()
+	select {
+	case errs := <-done:
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replay parked before the sender's append and was never woken")
+	}
+	if n := rec.Registry().CounterValue(obs.MMsgReplayed); n != 1 {
+		t.Fatalf("%s = %v, want 1 (the replayed receive)", obs.MMsgReplayed, n)
+	}
+	checkWakesConsumed(t, w)
 }

@@ -117,12 +117,12 @@ func runP2PScenario(t *testing.T, n int) engineTrace {
 
 		// Logged lineage passes, then a replay of the second: rewinding
 		// the cursors to the iteration-1 boundary makes its sends
-		// duplicates (suppressed) and its receives log hits (served with
-		// the logged arrival). A sender logs a message just after
-		// delivering it, so the receiver may consume it first: the first
-		// pass creates every stream, so the second pass's receives always
-		// record their consumption, and the barrier orders every append
-		// before the replay that reads it.
+		// duplicates (suppressed) and its receives replays (served with
+		// the logged arrival). A stream is its messages' only queue, so a
+		// replay that overtakes its sender's append waits for it
+		// (TestMsgLogReplayBeforeAppend); the first pass and the barrier
+		// are not needed for that, and stay because the golden's clocks
+		// and events include them.
 		if err := ring(p, lineage, "lineage", 30); err != nil {
 			return err
 		}

@@ -14,8 +14,9 @@
 #             never part of the default list.
 #   stress:   the scheduler stress tier — the wake-up and
 #             execution-schedule equivalence tests and the chaos replay
-#             table repeated at GOMAXPROCS 1, 2, 4 and 8. Run explicitly
-#             or from the nightly CI job; never part of the default list.
+#             table repeated at GOMAXPROCS 1, 2, 4 and 8, then a 300-seed
+#             localized chaos sweep. Run explicitly or from the nightly
+#             CI job; never part of the default list.
 #
 # Environment:
 #   CHAOS_SEEDS  number of campaign seeds to sweep (default 36; CI's
@@ -91,6 +92,10 @@ run_stress() {
         GOMAXPROCS=$procs go test -count=20 -run 'MsgLog|Localized' ./internal/mpi/ ./internal/core/
         GOMAXPROCS=$procs go test -count=20 -short -run 'CampaignMatrix' ./internal/chaos/
     done
+    # The log's replay paths under real kills: a localized-only sweep.
+    # cmd/chaos exits non-zero on any violated or hung run.
+    banner "stress: chaos -mode localized -seeds 300"
+    go run ./cmd/chaos -mode localized -seeds 300
 }
 
 run_race() {
